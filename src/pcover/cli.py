@@ -184,7 +184,8 @@ def cmd_verify(args) -> int:
             print(f"greedy standard form found ({sgf.mode}); "
                   f"row_perm={list(sgf.perm.row_perm)} col_perm={list(sgf.perm.col_perm)}")
             return EXIT_OK
-        print(f"no greedy standard form ({sgf.mode}); stuck rows: {list(sgf.stuck_rows)}")
+        print(f"no greedy standard form: gamma pattern at {sgf.witness} "
+              "survives the doubly lexical ordering")
         return EXIT_AUDIT
     if check == "lp-duality":
         instance = formats.parse_instance(_read(args.input))

@@ -302,7 +302,9 @@ class MergeContext:
         infeasible = current
         feasible = infeasible ^ self.graph.subtree(last)
         self._record_split("decrease", j, processed, entry_offset, infeasible, feasible)
-        if self.coverage(feasible) - P < P - self.coverage(infeasible):
+        # A feasible side that covers exactly P admits only decrease: the
+        # precondition of increase(last, infeasible) needs P < p(feasible).
+        if 0 < self.coverage(feasible) - P < P - self.coverage(infeasible):
             other = self.increase(last, infeasible)
         else:
             other = self.decrease(last, feasible)

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .arith import as_rational
 from .errors import (AuditError, InfeasibleError, InputError,
@@ -44,8 +44,11 @@ def to_greedy_form(instance: Instance):
     sgf = standard_greedy_form(instance.rows)
     if not sgf.ok:
         raise InputError("matrix is not totally balanced: no greedy standard "
-                         f"form exists (search mode: {sgf.mode})")
-    return permute_instance(instance, sgf.perm), sgf.perm
+                         f"form exists (gamma pattern at {sgf.witness})")
+    work = permute_instance(instance, sgf.perm)
+    if work.rows == sgf.matrix:
+        work._gamma_free = True  # certified by standard_greedy_form
+    return work, sgf.perm
 
 
 @dataclass
@@ -96,12 +99,9 @@ def _threshold_dl(instance: Instance, thr: ThresholdResult) -> Fraction:
     return total - budget * thr.lambda_star
 
 
-def _single_blocks(rows) -> bool:
-    for row in rows:
-        mask = 0
-        for j, v in enumerate(row):
-            if v:
-                mask |= 1 << j
+def _single_blocks(instance: Instance) -> bool:
+    """Whether every element's sets form one contiguous block of columns."""
+    for mask in instance.row_masks:
         if mask:
             low = mask & -mask
             shifted = mask // low
@@ -196,7 +196,7 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
         audits["strong_duality"] = primal.value == dual.value
         audits["dl_le_lp"] = dl <= lp_value
 
-    single_block = _single_blocks(work.rows)
+    single_block = _single_blocks(instance) or _single_blocks(work)
     if single_block and lp_value is not None:
         audits["single_block_bound"] = cost <= lp_value + instance.max_cost()
 
@@ -263,7 +263,7 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     audits["rho_lp_bound"] = report.cost <= (
         (1 + Fraction(1, 3 ** (k - 1))) * rho * primal.value
         + k * instance.max_cost())
-    single_block = _single_blocks(b_rows)
+    single_block = _single_blocks(reduced)
     if single_block and reduced.rows == instance.rows:
         audits["single_block_bound"] = report.cost <= primal.value + instance.max_cost()
 
@@ -370,16 +370,8 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
 
 
 def _scaled_ints(values) -> tuple[list[int], int]:
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in values))
     return [int(v * denom) for v in values], denom
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def brute_force_partial(instance: Instance) -> tuple[Cover, Fraction]:

@@ -12,34 +12,41 @@ so that no ordered pair of rows i1 < i2 and columns j1 < j2 induces the
 An ordering with this property is called greedy standard form here, and a
 matrix already free of the pattern is called gamma-free.
 
-The reordering algorithm used is a simple nest-point elimination:
+The reorder rests on one theorem: a matrix is totally balanced if and only
+if its doubly lexical ordering is gamma-free (Hoffman, Kolen & Sakarovitch,
+"Totally-balanced and greedy matrices", 1985; Lubiw, "Doubly lexical
+orderings of matrices", 1987).  Here an ordering is doubly lexical when
+the rows, read as integers whose bit k is the entry in column position k,
+ascend, and so do the columns read the same way over row positions.  So
+the orientation is fixed: the last position is the most significant bit
+and both orders ascend.
 
-* A row is *simple* when the columns containing it, restricted to the rows
-  not yet placed, form a chain under inclusion.  Placing a simple row next
-  and ordering its columns by that chain makes the pattern impossible at
-  that row.  The chain constraints collected over all steps are mutually
-  consistent and acyclic, so a column order always exists once every row
-  has been placed.
-* Totally balanced matrices always contain a simple row, and the property
-  is hereditary, so elimination runs to completion exactly on totally
-  balanced inputs.  The cross-validation against the definitional check is
-  part of the test suite.
+`doubly_lexical_order` reaches such an ordering by stable-sorting the rows,
+then the columns, until neither order changes.  The loop ends because
+every sort that moves a line strictly raises
 
-Two cheap fast paths run first (an already-gamma-free matrix keeps the
-identity ordering; a matrix whose rows are single contiguous blocks is
-sorted by block endpoints), and an exhaustive search over row orders backs
-the elimination up at very small sizes.
+    Phi = sum of a[p][k] * 2**(p + k)
+
+over row positions p and column positions k.  Phi is the sum over row
+positions p of 2**p times the key of the row there, so swapping adjacent
+rows whose keys descend raises Phi by 2**p times the key difference; a
+stable sort reaches its order by such swaps alone.  Columns are symmetric.
+Phi takes finitely many values.
+
+`standard_greedy_form` keeps an already gamma-free matrix in its own
+order, and otherwise certifies the doubly lexical ordering with
+`gamma_witness`.  By the theorem, a pattern that survives is a definite
+"not totally balanced", and it is reported as the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .errors import InternalInvariantError, check_guard
+from .errors import check_guard
 from .model import MatrixRows, PermutationPair, col_bitmasks, row_bitmasks
 
-EXHAUSTIVE_LIMIT = 8
 TB_CHECK_LIMIT = 12
 
 
@@ -49,10 +56,18 @@ def _freeze(matrix) -> MatrixRows:
 
 @dataclass(frozen=True)
 class GammaWitness:
-    """Positions (i1 < i2, j1 < j2) inducing the forbidden 2x2 pattern."""
+    """Rows (i1, i2) and columns (j1, j2) inducing the forbidden 2x2 pattern.
+
+    a[i1][j1] = a[i1][j2] = a[i2][j1] = 1 and a[i2][j2] = 0.  As returned
+    by `gamma_witness` both pairs are increasing positions of the matrix
+    searched; `SgfResult.witness` maps them back to original indices.
+    """
 
     rows: tuple[int, int]
     cols: tuple[int, int]
+
+    def __str__(self) -> str:
+        return f"rows {list(self.rows)}, columns {list(self.cols)}"
 
 
 def gamma_witness(matrix) -> GammaWitness | None:
@@ -118,120 +133,46 @@ class SgfResult:
     """Outcome of the greedy-standard-form search.
 
     On success `perm` maps original to permuted indices and `matrix` is the
-    permuted (gamma-free) matrix.  On failure `stuck_rows` names the row set
-    at which nest-point elimination jammed, or is empty when the exhaustive
-    search ran out of orderings.
+    permuted (gamma-free) matrix.  On failure `witness` is a forbidden
+    pattern that survived the doubly lexical ordering, in original row and
+    column indices; it proves that the matrix is not totally balanced.
     """
 
     ok: bool
     perm: PermutationPair | None = None
     matrix: MatrixRows | None = None
     mode: str = ""
-    stuck_rows: tuple[int, ...] = ()
+    witness: GammaWitness | None = None
 
 
-def _is_chain(supports: list[int]) -> bool:
-    supports = sorted(supports, key=lambda s: bin(s).count("1"))
-    return all(a & ~b == 0 for a, b in zip(supports, supports[1:]))
+def _sorted_by_bits(order: list[int], support, other_order: list[int]) -> list[int]:
+    """Stable ascending sort of `order`, each line keyed by the integer whose
+    bit k is its entry at position k of `other_order`."""
+    pos = [0] * len(other_order)
+    for k, x in enumerate(other_order):
+        pos[x] = k
+    key = [0] * len(support)
+    for x in order:
+        key[x] = sum(1 << pos[y] for y in support[x])
+    return sorted(order, key=key.__getitem__)
 
 
-def _column_order(m: int, edges: set[tuple[int, int]]) -> list[int] | None:
-    """Topological order of columns honoring strict chain edges.
-
-    Ties break toward the smallest original index.  Returns None on a cycle
-    (impossible for consistent chain constraints; treated as failure).
-    """
-    succ: dict[int, set[int]] = {j: set() for j in range(m)}
-    indeg = [0] * m
-    for a, b in edges:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    import heapq
-
-    heap = [j for j in range(m) if indeg[j] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        j = heapq.heappop(heap)
-        order.append(j)
-        for k in sorted(succ[j]):
-            indeg[k] -= 1
-            if indeg[k] == 0:
-                heapq.heappush(heap, k)
-    if len(order) != m:
-        return None
-    return order
-
-
-def _chain_edges_for_row(i: int, cols: list[int], col_masks, suffix_mask: int,
-                         edges: set[tuple[int, int]]) -> bool:
-    """Check the chain condition for row i over `suffix_mask` rows.
-
-    On success, record the strict-inclusion orderings the chain forces.
-    """
-    restricted = [(col_masks[j] & suffix_mask, j) for j in cols]
-    restricted.sort(key=lambda t: (bin(t[0]).count("1"), t[1]))
-    for (sa, ja), (sb, jb) in zip(restricted, restricted[1:]):
-        if sa & ~sb:
-            return False
-    for idx, (sa, ja) in enumerate(restricted):
-        for sb, jb in restricted[idx + 1:]:
-            if sa != sb:
-                edges.add((ja, jb))
-            # equal restrictions leave the pair unconstrained
-    return True
-
-
-def _eliminate(rows: MatrixRows, n: int, m: int):
-    """Nest-point elimination; returns (row_order, col_order) or stuck rows."""
-    col_masks = list(col_bitmasks(rows, m))
-    cols_of = [tuple(j for j, v in enumerate(row) if v) for row in rows]
-    alive = set(range(n))
-    alive_mask = (1 << n) - 1
-    row_order: list[int] = []
-    edges: set[tuple[int, int]] = set()
-    while alive:
-        chosen = -1
-        for i in sorted(alive):
-            supports = [col_masks[j] & alive_mask for j in cols_of[i]]
-            if _is_chain(supports):
-                chosen = i
-                break
-        if chosen < 0:
-            return None, tuple(sorted(alive))
-        _chain_edges_for_row(chosen, list(cols_of[chosen]), col_masks,
-                             alive_mask, edges)
-        alive.remove(chosen)
-        alive_mask &= ~(1 << chosen)
-        row_order.append(chosen)
-    col_order = _column_order(m, edges)
-    if col_order is None:
-        raise InternalInvariantError("chain constraints formed a cycle")
-    return (row_order, col_order), ()
-
-
-def _exhaustive_row_search(rows: MatrixRows, n: int, m: int):
-    """Try every row order; for each, chain conditions decide feasibility."""
-    col_masks = list(col_bitmasks(rows, m))
-    cols_of = [tuple(j for j, v in enumerate(row) if v) for row in rows]
-    full = (1 << n) - 1
-    for row_order in permutations(range(n)):
-        edges: set[tuple[int, int]] = set()
-        suffix = full
-        ok = True
-        for i in row_order:
-            suffix &= ~(1 << i)
-            if not _chain_edges_for_row(i, list(cols_of[i]), col_masks,
-                                        suffix | (1 << i), edges):
-                ok = False
-                break
-        if not ok:
-            continue
-        col_order = _column_order(m, edges)
-        if col_order is not None:
-            return list(row_order), col_order
-    return None
+def doubly_lexical_order(matrix) -> tuple[list[int], list[int]]:
+    """Row and column orders (new position -> original index) under which
+    both rows and columns ascend; see the module docstring for why the
+    alternating sorts terminate."""
+    rows = _freeze(matrix)
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    cols_of = [[j for j, v in enumerate(row) if v] for row in rows]
+    rows_of = [[i for i in range(n) if rows[i][j]] for j in range(m)]
+    row_order, col_order = list(range(n)), list(range(m))
+    while True:
+        row_order = _sorted_by_bits(row_order, cols_of, col_order)
+        new_cols = _sorted_by_bits(col_order, rows_of, row_order)
+        if new_cols == col_order:  # rows were sorted against these columns
+            return row_order, col_order
+        col_order = new_cols
 
 
 def _perm_from_orders(row_order, col_order) -> PermutationPair:
@@ -245,37 +186,12 @@ def _perm_from_orders(row_order, col_order) -> PermutationPair:
     return PermutationPair(tuple(row_perm), tuple(col_perm))
 
 
-def _single_blocks(rows: MatrixRows) -> bool:
-    for mask in row_bitmasks(rows):
-        if mask:
-            low = mask & -mask
-            shifted = mask // low
-            if shifted & (shifted + 1):
-                return False
-    return True
-
-
-def _block_sorted_order(rows: MatrixRows, n: int):
-    masks = row_bitmasks(rows)
-
-    def key(i):
-        mask = masks[i]
-        if not mask:
-            return (-1, -1, i)
-        right = mask.bit_length() - 1
-        left = (mask & -mask).bit_length() - 1
-        return (right, left, i)
-
-    return sorted(range(n), key=key)
-
-
 def standard_greedy_form(matrix) -> SgfResult:
-    """Reorder into greedy standard form, or report that none exists.
+    """Reorder into greedy standard form, or prove that none exists.
 
-    Deterministic: fast paths (identity ordering if already gamma-free,
-    block-endpoint sort for interval-like rows), then nest-point
-    elimination, then exhaustive row-order search for dimensions <= 8.
-    Every success is certified gamma-free before returning.
+    Deterministic: a gamma-free matrix keeps the identity ordering;
+    otherwise the doubly lexical ordering is certified with
+    `gamma_witness`, and a surviving pattern is returned as the witness.
     """
     rows = _freeze(matrix)
     n = len(rows)
@@ -284,39 +200,12 @@ def standard_greedy_form(matrix) -> SgfResult:
     if gamma_witness(rows) is None:
         return SgfResult(True, PermutationPair.identity(n, m), rows, "identity")
 
-    if _single_blocks(rows):
-        perm = _perm_from_orders(_block_sorted_order(rows, n), list(range(m)))
-        permuted = perm.apply_to_matrix(rows)
-        if gamma_witness(permuted) is not None:
-            raise InternalInvariantError("block-sorted interval matrix not gamma-free")
-        return SgfResult(True, perm, permuted, "blocks")
-
-    result, stuck = _eliminate(rows, n, m)
-    if result is not None:
-        perm = _perm_from_orders(*result)
-        permuted = perm.apply_to_matrix(rows)
-        if gamma_witness(permuted) is not None:
-            raise InternalInvariantError("elimination ordering not gamma-free")
-        return SgfResult(True, perm, permuted, "elimination")
-
-    if min(n, m) <= EXHAUSTIVE_LIMIT:
-        if m < n:
-            transposed = tuple(tuple(rows[i][j] for i in range(n)) for j in range(m))
-            sub = _exhaustive_row_search(transposed, m, n)
-            if sub is not None:
-                perm = _perm_from_orders(sub[1], sub[0])
-                permuted = perm.apply_to_matrix(rows)
-                if gamma_witness(permuted) is not None:
-                    raise InternalInvariantError("exhaustive ordering not gamma-free")
-                return SgfResult(True, perm, permuted, "exhaustive")
-        else:
-            found = _exhaustive_row_search(rows, n, m)
-            if found is not None:
-                perm = _perm_from_orders(*found)
-                permuted = perm.apply_to_matrix(rows)
-                if gamma_witness(permuted) is not None:
-                    raise InternalInvariantError("exhaustive ordering not gamma-free")
-                return SgfResult(True, perm, permuted, "exhaustive")
-        return SgfResult(False, mode="exhausted", stuck_rows=())
-
-    return SgfResult(False, mode="stuck", stuck_rows=stuck)
+    row_order, col_order = doubly_lexical_order(rows)
+    perm = _perm_from_orders(row_order, col_order)
+    permuted = perm.apply_to_matrix(rows)
+    found = gamma_witness(permuted)
+    if found is None:
+        return SgfResult(True, perm, permuted, "doubly-lexical")
+    witness = GammaWitness(tuple(row_order[i] for i in found.rows),
+                           tuple(col_order[j] for j in found.cols))
+    return SgfResult(False, mode="doubly-lexical", witness=witness)

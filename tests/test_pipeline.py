@@ -6,11 +6,12 @@ import pytest
 
 from pcover.errors import (GUARD_ENV, InfeasibleError, InputError,
                            SizeGuardError)
-from pcover.generators import (corpus_instance, gen_blackbox_family,
+from pcover.generators import (Lcg, corpus_instance, gen_blackbox_family,
                                gen_gap_family, gen_random_rectangles,
                                gen_random_tree_instance, reduce_multicut,
                                reduce_rectangle_stabbing)
-from pcover.model import Cover, Decomposition, cover_cost, covered_profit, make_instance
+from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
+                          covered_profit, make_instance, permute_instance)
 from pcover.pipeline import (absorb_additive_error, brute_force_partial,
                              brute_force_prize_collecting,
                              equitable_coloring_check, simulate_blackbox_lb,
@@ -235,3 +236,30 @@ def test_interval_stabbing_strong_bound():
         assert report.single_block
         assert report.cost <= report.lp_value + inst.max_cost()
         assert report.splits <= 1
+
+
+def _lcg_shuffle(n, rng):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("q, seeds", [(1, range(1, 9)), (2, range(1, 7)),
+                                      (3, range(1, 4))])
+def test_shuffled_gap_family_solves(q, seeds):
+    # Shuffled orders reach merge's decrease split with a feasible side
+    # covering exactly P, a tie that only decrease() may take.
+    fam = gen_gap_family(q)
+    for seed in seeds:
+        rng = Lcg(seed)
+        perm = PermutationPair(_lcg_shuffle(fam.instance.n, rng),
+                               _lcg_shuffle(fam.instance.m, rng))
+        inst = permute_instance(fam.instance, perm)
+        report = solve_partial_tbc(inst)
+        assert report.dl_value == fam.dl, (q, seed)
+        assert covered_profit(inst, report.cover) >= inst.target, (q, seed)
+        if q == 1:
+            _, oracle_cost = brute_force_partial(inst)
+            assert report.cost >= oracle_cost, seed

@@ -100,16 +100,6 @@ def tight_sets(dual: DualSolution) -> Cover:
     return Cover.of(j for j, r in enumerate(dual.residuals) if r.is_zero())
 
 
-def dominates(instance: Instance, dual: DualSolution, j1: int, j2: int,
-              pos_mask: int | None = None) -> bool:
-    """True when j1 > j2 and they share an element with positive dual."""
-    if j1 <= j2:
-        return False
-    if pos_mask is None:
-        pos_mask = dual.positive_y_mask()
-    return bool(instance.col_masks[j1] & instance.col_masks[j2] & pos_mask)
-
-
 def reverse_delete(instance: Instance, tight: Cover, dual: DualSolution) -> Cover:
     """Keep the largest-index tight set, drop everything it dominates; repeat."""
     for j in tight.sets:

@@ -336,13 +336,13 @@ def decrease(j: int, D, context: MergeContext) -> Cover:
 
 
 def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
-          instance: Instance, target=None) -> tuple[Cover, MergeTrace]:
+          instance: Instance) -> tuple[Cover, MergeTrace]:
     """Produce a feasible cover inside the union of the two pruned covers.
 
     Precondition: covered(pruned_minus) < P <= covered(pruned).  If the
     lower cover already reaches the target it is returned unchanged.
     """
-    P = Fraction(instance.target if target is None else target)
+    P = instance.target
     union = Cover.of(pruned_minus.as_set() | pruned.as_set())
     benefits = absolute_benefits(instance, union)
     run = MergeContext(graph, instance, P, benefits)

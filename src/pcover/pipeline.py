@@ -13,7 +13,7 @@ of the solver path so they can referee it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -26,8 +26,8 @@ from .kolen import KolenResult, audit_optimality, kolen
 from .lp import dual_value, is_dual_feasible, solve_dual, solve_lp
 from .merger import (MergerGraph, audit_merge_bound, build_merger_graph,
                      merge)
-from .model import (Cover, Decomposition, Instance, cover_cost,
-                    covered_profit, permute_instance, sub_instance)
+from .model import (Cover, Decomposition, Instance, PermutationPair,
+                    cover_cost, covered_profit, permute_instance, sub_instance)
 from .tb import standard_greedy_form
 from .threshold import ThresholdResult, find_threshold, kolen_call_budget
 
@@ -38,22 +38,29 @@ ABSORB_ENUM_LIMIT = 10 ** 6
 def to_greedy_form(instance: Instance):
     """Permute an instance into greedy standard form.
 
-    Returns (permuted instance, permutation).  Raises InputError when the
-    matrix is not totally balanced.
+    Returns (permuted instance, permutation); an instance that is already
+    gamma-free is returned as it is, with the identity permutation.  Raises
+    InputError when the matrix is not totally balanced.
     """
     sgf = standard_greedy_form(instance.rows)
     if not sgf.ok:
         raise InputError("matrix is not totally balanced: no greedy standard "
                          f"form exists (gamma pattern at {sgf.witness})")
-    work = permute_instance(instance, sgf.perm)
-    if work.rows == sgf.matrix:
-        work._gamma_free = True  # certified by standard_greedy_form
-    return work, sgf.perm
+    if sgf.mode == "identity":
+        work, perm = instance, PermutationPair.identity(instance.n, instance.m)
+    else:
+        work, perm = permute_instance(instance, sgf.perm), sgf.perm
+    work._gamma_free = True  # certified by standard_greedy_form
+    return work, perm
 
 
 @dataclass
 class SolveReport:
-    """Everything a solve run produced, audits included."""
+    """Everything a solve run produced, audits included.
+
+    `work` is the greedy-form instance that was solved and `threshold` its
+    threshold search; like `timings` they stay out of the payload.
+    """
 
     cover: Cover
     cost: Fraction
@@ -70,6 +77,8 @@ class SolveReport:
     ratio_vs_oracle: Fraction | None = None
     oracle_cost: Fraction | None = None
     timings: dict[str, float] = field(default_factory=dict)
+    work: Instance | None = None
+    threshold: ThresholdResult | None = None
 
     def payload(self) -> dict:
         """Deterministic JSON-able view; timings deliberately excluded."""
@@ -157,10 +166,10 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
     t_thr = time.perf_counter()
 
     audits: dict[str, bool] = {}
+    dl = _threshold_dl(work, thr)
     if thr.exact_hit is not None:
         run = thr.exact_hit
         audits["dual_optimality"] = audit_optimality(work, run.dual.lam, run).ok
-        dl = _threshold_dl(work, thr)
         final_work = run.pruned
         audits["exact_hit_identity"] = cover_cost(work, final_work) == dl
         splits = 0
@@ -176,9 +185,7 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
                                    low_run.dual, high_run.dual)
         audits["coverage_witness"] = lemma_witness_check(work, graph, low_run, high_run)
         final_work, trace = merge(graph, low_run.pruned, high_run.pruned, work)
-        dl = _threshold_dl(work, thr)
-        bound = audit_merge_bound(trace, work, dl, k_max=10)
-        audits["merge_bound"] = bound.ok
+        audits["merge_bound"] = audit_merge_bound(trace, work, dl, k_max=10).ok
         splits = len(trace.splits)
     t_merge = time.perf_counter()
 
@@ -190,8 +197,8 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
 
     lp_value = None
     if with_lp:
-        primal = solve_lp(instance)
-        dual = solve_dual(instance)
+        primal = solve_lp(work)
+        dual = solve_dual(work)
         lp_value = primal.value
         audits["strong_duality"] = primal.value == dual.value
         audits["dl_le_lp"] = dl <= lp_value
@@ -219,7 +226,8 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
         kolen_calls=thr.kolen_calls, single_block=single_block,
         audits=audits, ratio_vs_oracle=ratio, oracle_cost=oracle_cost,
         timings={"greedy_form": t_sgf - t0, "threshold": t_thr - t_sgf,
-                 "merge": t_merge - t_thr, "total": t_end - t0})
+                 "merge": t_merge - t_thr, "total": t_end - t0},
+        work=work, threshold=thr)
 
 
 def solve_rho_separable(instance: Instance, decomposition: Decomposition,
@@ -231,10 +239,12 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     those parts is solved instead, and its cover is feasible for the
     original matrix.
     """
+    t0 = time.perf_counter()
     decomposition.validate_against(instance.rows)
     rho = decomposition.rho
     primal = solve_lp(instance)
     dual = solve_dual(instance)
+    t_lp = time.perf_counter()
     if primal.value != dual.value:
         raise AuditError("strong duality failed on the original relaxation")
 
@@ -277,13 +287,12 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     if failed:
         raise AuditError(f"separable solve audits failed: {', '.join(failed)}")
 
-    return SolveReport(
-        cover=report.cover, cost=report.cost, covered=covered_original,
-        dl_value=report.dl_value, lp_value=primal.value, k_used=k,
-        splits=report.splits, exact_hit=report.exact_hit,
-        lambda_star=report.lambda_star, kolen_calls=report.kolen_calls,
+    return replace(
+        report, covered=covered_original, lp_value=primal.value,
         single_block=single_block, audits=audits, ratio_vs_oracle=ratio,
-        oracle_cost=oracle_cost, timings=report.timings)
+        oracle_cost=oracle_cost,
+        timings={**report.timings, "lp": t_lp - t0,
+                 "total": time.perf_counter() - t0})
 
 
 def absorb_additive_error(instance: Instance, k: int, alpha,
@@ -680,19 +689,22 @@ CORPUS_LAMBDAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1),
 
 
 def audit_corpus_entry(seed: int) -> dict:
-    """Run the full audit battery on one seeded corpus instance.
+    """Solve one seeded corpus instance and add the checks that need an oracle.
 
-    Returns a deterministic, JSON-able dict of check outcomes; every
-    boolean in it is expected to be True.
+    The solver's audits come from `solve_partial_tbc`, which raises
+    AuditError when one fails.  On top of them, Kolen's runs are compared
+    with the exhaustive prize-collecting oracle, and the threshold search is
+    held to its call budget, its bracketing contract and its dual
+    certificate.  Returns a deterministic, JSON-able dict; every boolean in
+    it is expected to be True.
     """
     from .generators import corpus_instance
     from .kolen import prize_collecting_value
 
     instance = corpus_instance(seed)
-    work, _perm = to_greedy_form(instance)
-    out: dict = {"seed": seed, "n": instance.n, "m": instance.m,
-                 "target": str(instance.target)}
-    checks: dict[str, bool] = {}
+    report = solve_partial_tbc(instance, with_lp=True)
+    work, thr = report.work, report.threshold
+    checks = dict(report.audits)
 
     exact_flags = []
     for lam in CORPUS_LAMBDAS:
@@ -701,56 +713,27 @@ def audit_corpus_entry(seed: int) -> dict:
         oracle = brute_force_prize_collecting(work, lam)
         exact_flags.append(value.delta == 0 and value.value == oracle)
     checks["kolen_exact"] = all(exact_flags)
-
-    thr = find_threshold(work)
-    out["kolen_calls"] = thr.kolen_calls
-    out["lambda_star"] = str(thr.lambda_star)
-    out["exact_hit"] = thr.exact_hit is not None
     checks["calls_within_budget"] = thr.kolen_calls <= kolen_call_budget(work)
 
     if thr.exact_hit is not None:
         run = thr.exact_hit
-        dl = _threshold_dl(work, thr)
-        cov = covered_profit(work, run.pruned)
-        checks["threshold_contract"] = (cov >= work.target
-                                        and cover_cost(work, run.pruned) == dl)
-        checks["opt_audit"] = audit_optimality(work, run.dual.lam, run).ok
-        out["splits"] = 0
-        final = run.pruned
+        checks["threshold_contract"] = (
+            covered_profit(work, run.pruned) >= work.target
+            and cover_cost(work, run.pruned) == report.dl_value)
     else:
-        below, above = thr.below, thr.at_or_above
-        cov_below = covered_profit(work, below.pruned)
-        cov_above = covered_profit(work, above.pruned)
-        checks["threshold_contract"] = cov_below < work.target <= cov_above
-        low_run, high_run = thr.merge_pair(work.target)
-        perturbed = thr.below if low_run is thr.below else thr.at_or_above
-        checks["opt_audit"] = (audit_optimality(work, low_run.dual.lam, low_run).ok
-                               and audit_optimality(work, high_run.dual.lam, high_run).ok)
-        checks["tight_inclusion"] = perturbed.tight.as_set() <= thr.at_star.tight.as_set()
-        checks["value_parts_match"] = all(
-            yl.value == yh.value for yl, yh in zip(low_run.dual.y, high_run.dual.y))
-        graph = build_merger_graph(work, low_run.pruned, high_run.pruned,
-                                   low_run.dual, high_run.dual)
-        checks["merger_graph_ok"] = True  # construction validates shape
-        checks["coverage_witness"] = lemma_witness_check(work, graph, low_run, high_run)
-        final, trace = merge(graph, low_run.pruned, high_run.pruned, work)
-        out["splits"] = len(trace.splits)
-        dl = _threshold_dl(work, thr)
-        checks["merge_bound"] = audit_merge_bound(trace, work, dl, k_max=10).ok
-
-    out["cost"] = str(cover_cost(work, final))
-    out["dl_value"] = str(dl)
-    primal = solve_lp(work)
-    dual = solve_dual(work)
-    out["lp_value"] = str(primal.value)
-    checks["strong_duality"] = primal.value == dual.value
-    checks["dl_le_lp"] = dl <= primal.value
+        checks["threshold_contract"] = (
+            covered_profit(work, thr.below.pruned) < work.target
+            <= covered_profit(work, thr.at_or_above.pruned))
     y_values = [yi.value for yi in (thr.exact_hit or thr.at_star).dual.y]
     checks["threshold_dual_feasible"] = is_dual_feasible(work, y_values, thr.lambda_star)
-    checks["threshold_dual_value_matches"] = dual_value(work, y_values, thr.lambda_star) == dl
-    out["final_cover"] = list(final.sets)
-    checks["feasible"] = covered_profit(work, final) >= work.target
+    checks["threshold_dual_value_matches"] = (
+        dual_value(work, y_values, thr.lambda_star) == report.dl_value)
 
-    out["checks"] = dict(sorted(checks.items()))
-    out["all_ok"] = all(checks.values())
-    return out
+    payload = report.payload()
+    out = {name: payload[name] for name in (
+        "kolen_calls", "lambda_star", "exact_hit", "splits", "cost",
+        "dl_value", "lp_value")}
+    return {**out, "seed": seed, "n": instance.n, "m": instance.m,
+            "target": str(instance.target), "final_cover": payload["cover"],
+            "checks": dict(sorted(checks.items())),
+            "all_ok": all(checks.values())}

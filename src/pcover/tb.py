@@ -45,13 +45,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import check_guard
-from .model import MatrixRows, PermutationPair, col_bitmasks, row_bitmasks
+from .model import (MatrixRows, PermutationPair, _freeze_matrix, col_bitmasks,
+                    row_bitmasks)
 
 TB_CHECK_LIMIT = 12
-
-
-def _freeze(matrix) -> MatrixRows:
-    return tuple(tuple(int(v) for v in row) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class GammaWitness:
 
 def gamma_witness(matrix) -> GammaWitness | None:
     """First (lexicographically smallest) occurrence of the pattern, if any."""
-    rows = _freeze(matrix)
+    rows = _freeze_matrix(matrix)
     masks = row_bitmasks(rows)
     n = len(rows)
     for i1 in range(n):
@@ -100,7 +97,7 @@ def is_totally_balanced(matrix, limit: int = TB_CHECK_LIMIT) -> bool:
     and column sum equal to 2 and pairwise distinct columns.  Exponential;
     guarded to dimensions <= `limit` and meant as a desk-scale oracle.
     """
-    rows = _freeze(matrix)
+    rows = _freeze_matrix(matrix)
     n = len(rows)
     m = len(rows[0]) if rows else 0
     check_guard(n <= limit and m <= limit,
@@ -161,7 +158,7 @@ def doubly_lexical_order(matrix) -> tuple[list[int], list[int]]:
     """Row and column orders (new position -> original index) under which
     both rows and columns ascend; see the module docstring for why the
     alternating sorts terminate."""
-    rows = _freeze(matrix)
+    rows = _freeze_matrix(matrix)
     n = len(rows)
     m = len(rows[0]) if rows else 0
     cols_of = [[j for j, v in enumerate(row) if v] for row in rows]
@@ -193,7 +190,7 @@ def standard_greedy_form(matrix) -> SgfResult:
     otherwise the doubly lexical ordering is certified with
     `gamma_witness`, and a surviving pattern is returned as the witness.
     """
-    rows = _freeze(matrix)
+    rows = _freeze_matrix(matrix)
     n = len(rows)
     m = len(rows[0]) if rows else 0
 

@@ -167,13 +167,13 @@ def _trivial_result(instance: Instance, calls: int) -> ThresholdResult:
     return ThresholdResult(Fraction(0), None, None, hit, calls)
 
 
-def find_threshold(instance: Instance, target=None) -> ThresholdResult:
-    """Locate the threshold multiplier for covering `target` profit.
+def find_threshold(instance: Instance) -> ThresholdResult:
+    """Locate the threshold multiplier for covering the instance's target.
 
     Raises InfeasibleError when no cover can reach the target.  The total
     number of solver calls is bounded by n * (ceil(log2 m) + 2).
     """
-    P = Fraction(instance.target if target is None else target)
+    P = instance.target
     if P <= 0:
         return _trivial_result(instance, 0)
     if P > instance.coverable_profit():

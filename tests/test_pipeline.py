@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcover.errors import (GUARD_ENV, InfeasibleError, InputError,
+from pcover import cli, pipeline
+from pcover.errors import (GUARD_ENV, AuditError, InfeasibleError, InputError,
                            SizeGuardError)
 from pcover.generators import (Lcg, corpus_instance, gen_blackbox_family,
                                gen_gap_family, gen_random_rectangles,
@@ -12,8 +13,8 @@ from pcover.generators import (Lcg, corpus_instance, gen_blackbox_family,
                                reduce_rectangle_stabbing)
 from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
                           covered_profit, make_instance, permute_instance)
-from pcover.pipeline import (absorb_additive_error, brute_force_partial,
-                             brute_force_prize_collecting,
+from pcover.pipeline import (absorb_additive_error, audit_corpus_entry,
+                             brute_force_partial, brute_force_prize_collecting,
                              equitable_coloring_check, simulate_blackbox_lb,
                              solve_partial_tbc, solve_rho_separable)
 
@@ -101,6 +102,13 @@ def test_solve_exact_hit_cost_equals_dual_value():
     assert report.cost == report.dl_value == 1
 
 
+def test_solve_empty_element_set():
+    # n = 0 keeps its m sets; the empty cover meets the zero target.
+    report = solve_partial_tbc(make_instance([], [1, 2], [], 0))
+    assert report.cover.sets == ()
+    assert report.cost == 0
+
+
 def test_solve_permutation_invariance():
     # solving a permuted instance gives the same cost and the permuted cover
     from pcover.model import PermutationPair, permute_instance
@@ -132,6 +140,14 @@ def test_rho_separable_multicut_bound():
         assert covered_profit(inst, report.cover) >= inst.target
         bound = (1 + F(1, 27)) * 2 * report.lp_value + 4 * inst.max_cost()
         assert report.cost <= bound
+
+
+def test_rho_separable_timings_include_its_lp():
+    inst, dec = reduce_multicut(gen_random_tree_instance(1))
+    timings = solve_rho_separable(inst, dec, 4).timings
+    assert set(timings) == {"greedy_form", "threshold", "merge", "lp", "total"}
+    inner = timings["greedy_form"] + timings["threshold"] + timings["merge"]
+    assert timings["total"] >= timings["lp"] + inner
 
 
 def test_absorb_k0_is_plain_solve():
@@ -263,3 +279,28 @@ def test_shuffled_gap_family_solves(q, seeds):
         if q == 1:
             _, oracle_cost = brute_force_partial(inst)
             assert report.cost >= oracle_cost, seed
+
+
+ENTRY_FIELDS = ("cost", "dl_value", "lp_value", "kolen_calls", "lambda_star",
+                "exact_hit", "splits")
+
+
+def test_corpus_entry_reports_the_solve():
+    for seed in range(1, 31):
+        entry = audit_corpus_entry(seed)
+        payload = solve_partial_tbc(corpus_instance(seed), with_lp=True).payload()
+        for name in ENTRY_FIELDS:
+            assert entry[name] == payload[name], (seed, name)
+        assert entry["final_cover"] == payload["cover"], seed
+        assert payload["audits"].items() <= entry["checks"].items(), seed
+
+
+def test_corpus_entry_raises_on_failed_solver_audit(monkeypatch, capsys):
+    class Failed:
+        ok = False
+
+    monkeypatch.setattr(pipeline, "audit_merge_bound", lambda *a, **kw: Failed())
+    with pytest.raises(AuditError, match="merge_bound"):
+        audit_corpus_entry(1)
+    assert cli.main(["experiment", "corpus", "--seeds", "1..2"]) == 4
+    assert "merge_bound" in capsys.readouterr().err

@@ -16,8 +16,8 @@ from . import formats, generators, pipeline
 from .arith import format_rational, parse_rational
 from .errors import (AuditError, InfeasibleError, InputError, PCoverError,
                      SizeGuardError)
-from .lp import solve_dual, solve_lp
-from .model import cover_cost, covered_profit
+from .lp import mixed_cover_point, solve_dual, solve_lp
+from .model import Cover, cover_cost, covered_profit
 from .tb import is_totally_balanced, standard_greedy_form
 
 EXIT_OK = 0
@@ -92,8 +92,7 @@ def cmd_solve(args) -> int:
         report = pipeline.solve_rho_separable(instance, decomposition, args.k,
                                               oracle=args.oracle)
     else:
-        report = pipeline.solve_partial_tbc(instance, args.k, with_lp=args.lp,
-                                            oracle=args.oracle)
+        report = pipeline.solve_partial_tbc(instance, oracle=args.oracle)
     _emit_report(args, report.payload(), report.timings)
     return EXIT_OK
 
@@ -223,8 +222,9 @@ def cmd_experiment(args) -> int:
         rows = []
         for q in range(1, args.qmax + 1):
             fam = generators.gen_gap_family(q)
+            pair = mixed_cover_point(fam.instance, Cover.of(fam.x1), Cover.of(fam.x2))
             entry = {"q": q, "dl": str(fam.dl), "ip_expected": str(fam.ip),
-                     "pair_value": str(_gap_pair_value(fam)),
+                     "pair_value": str(pair.value),
                      "xt_cost": str(3 * len(fam.xt))}
             if q == 1:
                 lp = solve_lp(fam.instance)
@@ -269,23 +269,6 @@ def cmd_experiment(args) -> int:
     raise InputError(f"unknown experiment {name!r}")
 
 
-def _gap_pair_value(fam) -> Fraction:
-    """Objective of the embedded fractional combination of x1 and x2."""
-    inst = fam.instance
-    from .model import Cover
-
-    def cost(sets):
-        return cover_cost(inst, Cover.of(sets))
-
-    def uncovered(sets):
-        return inst.total_profit() - covered_profit(inst, Cover.of(sets))
-
-    u1, u2 = uncovered(fam.x1), uncovered(fam.x2)
-    beta = (fam.p_bar - u1) / (u2 - u1)
-    alpha = 1 - beta
-    return alpha * cost(fam.x1) + beta * cost(fam.x2)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -304,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--absorb", nargs=2, metavar=("K", "ALPHA"))
     p_solve.add_argument("--oracle", action="store_true",
                          help="add exhaustive-optimum comparison (size permitting)")
-    p_solve.add_argument("--lp", action="store_true",
-                         help="solve the relaxation and audit against it")
     p_solve.add_argument("--output")
     p_solve.set_defaults(func=cmd_solve)
 

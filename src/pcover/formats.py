@@ -96,16 +96,15 @@ def parse_instance(text: str) -> Instance:
         raise InputError("expected 'n m'", line=lineno)
     n = _int(tokens[0], lineno, "element count")
     m = _int(tokens[1], lineno, "set count")
+    if n < 0 or m < 0:
+        raise InputError(f"dimensions must be nonnegative, got {n} {m}", line=lineno)
     target_line, lineno = lines.next("target")
     target = _rational(target_line, lineno)
-    costs_line, lineno = lines.next("costs")
-    costs = _rationals(costs_line, lineno, m, "costs")
-    profits_line, lineno = lines.next("profits")
-    profits = _rationals(profits_line, lineno, n, "profits")
-    rows = []
-    for _ in range(n):
-        line, lineno = lines.next("matrix row")
-        rows.append(_matrix_row(line, lineno, m))
+    # Empty lists and empty rows render as blank lines, which are skipped.
+    costs = _rationals(*lines.next("costs"), m, "costs") if m else []
+    profits = _rationals(*lines.next("profits"), n, "profits") if n else []
+    rows = ([_matrix_row(*lines.next("matrix row"), m) for _ in range(n)]
+            if m else [()] * n)
     return make_instance(rows, costs, profits, target)
 
 

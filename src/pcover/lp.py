@@ -12,8 +12,9 @@ and `solve_dual` its dual
 
     max 1.y - (p(U) - P) lam   s.t.  A^T y <= c,  y <= lam p,  y, lam >= 0.
 
-Strong duality (exact equality of the two optima) is a standing test
-invariant, not assumed anywhere in the solvers themselves.
+The simplex serves the rho-separable reduction (its input is not totally
+balanced), `pcover verify lp-duality` and the tests.  The totally balanced
+solve certifies the LP optimum with the predicates below instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, InternalInvariantError
-from .model import Instance
+from .model import Cover, Instance, covered_element_mask
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -177,21 +178,9 @@ def solve_lp(instance: Instance) -> FractionalSolution:
     constraints.append(([ZERO] * m + list(instance.profits), "<=", budget))
     out = solve_linear_program(costs, constraints)
     solution = FractionalSolution(tuple(out.x[:m]), tuple(out.x[m:]), out.value)
-    _verify_primal(instance, solution)
+    if not is_primal_feasible(instance, solution.x, solution.r):
+        raise InternalInvariantError("primal LP solution is infeasible")
     return solution
-
-
-def _verify_primal(instance: Instance, sol: FractionalSolution) -> None:
-    if any(v < 0 for v in sol.x) or any(v < 0 for v in sol.r):
-        raise InternalInvariantError("negative variable in LP solution")
-    for i in range(instance.n):
-        lhs = sum((sol.x[j] for j in range(instance.m) if instance.rows[i][j]), ZERO)
-        if lhs + sol.r[i] < 1:
-            raise InternalInvariantError(f"cover row {i} violated in LP solution")
-    budget = instance.total_profit() - instance.target
-    spent = sum((p * v for p, v in zip(instance.profits, sol.r)), ZERO)
-    if spent > budget:
-        raise InternalInvariantError("profit budget violated in LP solution")
 
 
 def solve_dual(instance: Instance) -> DualFractional:
@@ -211,20 +200,48 @@ def solve_dual(instance: Instance) -> DualFractional:
     y = out.x[:n]
     lam = out.x[n]
     solution = DualFractional(tuple(y), lam, -out.value)
-    _verify_dual(instance, solution)
+    if not is_dual_feasible(instance, solution.y, solution.lam):
+        raise InternalInvariantError("dual LP solution is infeasible")
     return solution
 
 
-def _verify_dual(instance: Instance, sol: DualFractional) -> None:
-    if any(v < 0 for v in sol.y) or sol.lam < 0:
-        raise InternalInvariantError("negative variable in dual solution")
-    for j in range(instance.m):
-        total = sum((sol.y[i] for i in range(instance.n) if instance.rows[i][j]), ZERO)
-        if total > instance.costs[j]:
-            raise InternalInvariantError(f"dual cost row {j} violated")
-    for i in range(instance.n):
-        if sol.y[i] > sol.lam * instance.profits[i]:
-            raise InternalInvariantError(f"dual cap violated at element {i}")
+def mixed_cover_point(instance: Instance, low: Cover,
+                      high: Cover | None = None) -> FractionalSolution:
+    """The relaxation point of one cover, or of two covers mixed to cover P.
+
+    Two covers get weight a = (cov(high) - P) / (cov(high) - cov(low)) on
+    `low` and 1 - a on `high`, so the mixture covers exactly P.  x_j is the
+    total weight of the covers that contain set j, and r_i the total weight
+    of the covers that leave element i uncovered.
+    """
+    covers = (low,) if high is None else (low, high)
+    masks = [covered_element_mask(instance, cover) for cover in covers]
+    weights = (ONE,)
+    if high is not None:
+        cov_low, cov_high = map(instance.profit_of_element_mask, masks)
+        a = (cov_high - instance.target) / (cov_high - cov_low)
+        weights = (a, ONE - a)
+    x = [ZERO] * instance.m
+    for weight, cover in zip(weights, covers):
+        for j in cover.sets:
+            x[j] += weight
+    r = [sum((w for w, mask in zip(weights, masks) if not mask >> i & 1), ZERO)
+         for i in range(instance.n)]
+    value = sum((c * v for c, v in zip(instance.costs, x)), ZERO)
+    return FractionalSolution(tuple(x), tuple(r), value)
+
+
+def is_primal_feasible(instance: Instance, x, r) -> bool:
+    """Whether (x, r) meets A x + r >= 1, p.r <= p(U) - P and x, r >= 0."""
+    if len(x) != instance.m or len(r) != instance.n:
+        return False
+    if any(v < 0 for v in x) or any(v < 0 for v in r):
+        return False
+    for ri, mask in zip(r, instance.row_masks):
+        if sum((x[j] for j in _bits(mask)), ri) < 1:
+            return False
+    budget = instance.total_profit() - instance.target
+    return sum((p * v for p, v in zip(instance.profits, r)), ZERO) <= budget
 
 
 def dual_value(instance: Instance, y, lam) -> Fraction:
@@ -234,10 +251,18 @@ def dual_value(instance: Instance, y, lam) -> Fraction:
 
 
 def is_dual_feasible(instance: Instance, y, lam) -> bool:
+    """Whether (y, lam) meets A^T y <= c, y <= lam p and y, lam >= 0."""
     if any(v < 0 for v in y) or lam < 0:
         return False
-    for j in range(instance.m):
-        total = sum((y[i] for i in range(instance.n) if instance.rows[i][j]), ZERO)
-        if total > instance.costs[j]:
+    for c, mask in zip(instance.costs, instance.col_masks):
+        if sum((y[i] for i in _bits(mask)), ZERO) > c:
             return False
     return all(y[i] <= lam * instance.profits[i] for i in range(instance.n))
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a row or column mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -3,7 +3,8 @@
 `solve_partial_tbc` chains the full machinery: reorder into greedy
 standard form, locate the threshold multiplier, build the merger graph,
 and combine the two bracketing covers, auditing every certificate along
-the way.  `solve_rho_separable` reduces a decomposable instance to a
+the way.  The threshold pair also certifies the LP optimum, with no
+simplex.  `solve_rho_separable` reduces a decomposable instance to a
 totally balanced one through the fractional optimum, and
 `absorb_additive_error` removes the additive cost term by enumerating
 small set prefixes.  The exhaustive oracles are deliberately independent
@@ -23,7 +24,8 @@ from .errors import (AuditError, InfeasibleError, InputError,
                      InternalInvariantError, check_guard)
 from .generators import BlackboxFamily, gen_blackbox_family, Lcg
 from .kolen import KolenResult, audit_optimality, kolen
-from .lp import dual_value, is_dual_feasible, solve_dual, solve_lp
+from .lp import (dual_value, is_dual_feasible, is_primal_feasible,
+                 mixed_cover_point, solve_dual, solve_lp)
 from .merger import (MergerGraph, audit_merge_bound, build_merger_graph,
                      merge)
 from .model import (Cover, Decomposition, Instance, PermutationPair,
@@ -66,8 +68,7 @@ class SolveReport:
     cost: Fraction
     covered: Fraction
     dl_value: Fraction
-    lp_value: Fraction | None
-    k_used: int
+    lp_value: Fraction
     splits: int
     exact_hit: bool
     lambda_star: Fraction
@@ -87,8 +88,7 @@ class SolveReport:
             "cost": str(self.cost),
             "covered": str(self.covered),
             "dl_value": str(self.dl_value),
-            "lp_value": None if self.lp_value is None else str(self.lp_value),
-            "k_used": self.k_used,
+            "lp_value": str(self.lp_value),
             "splits": self.splits,
             "exact_hit": self.exact_hit,
             "lambda_star": str(self.lambda_star),
@@ -98,14 +98,6 @@ class SolveReport:
             "ratio_vs_oracle": None if self.ratio_vs_oracle is None else str(self.ratio_vs_oracle),
             "oracle_cost": None if self.oracle_cost is None else str(self.oracle_cost),
         }
-
-
-def _threshold_dl(instance: Instance, thr: ThresholdResult) -> Fraction:
-    """Dual objective of the threshold run's value components."""
-    run = thr.exact_hit if thr.exact_hit is not None else thr.at_star
-    total = sum((yi.value for yi in run.dual.y), Fraction(0))
-    budget = instance.total_profit() - instance.target
-    return total - budget * thr.lambda_star
 
 
 def _single_blocks(instance: Instance) -> bool:
@@ -150,9 +142,13 @@ def lemma_witness_check(instance: Instance, graph: MergerGraph,
     return True
 
 
-def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
-                      oracle: bool = False) -> SolveReport:
+def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveReport:
     """Solve a totally balanced partial-cover instance with audits.
+
+    On a totally balanced matrix the Lagrangian bound equals the LP
+    optimum, so the threshold dual (y, lambda*) and the bracketing covers
+    mixed to cover exactly P are an optimal pair; `strong_duality` checks
+    both sides' feasibility and their equal objectives.
 
     Raises InputError when the matrix is not totally balanced,
     InfeasibleError when the target is unattainable, and AuditError if any
@@ -166,13 +162,15 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
     t_thr = time.perf_counter()
 
     audits: dict[str, bool] = {}
-    dl = _threshold_dl(work, thr)
+    y = [yi.value for yi in (thr.exact_hit or thr.at_star).dual.y]
+    dl = dual_value(work, y, thr.lambda_star)
     if thr.exact_hit is not None:
         run = thr.exact_hit
         audits["dual_optimality"] = audit_optimality(work, run.dual.lam, run).ok
         final_work = run.pruned
         audits["exact_hit_identity"] = cover_cost(work, final_work) == dl
         splits = 0
+        lp_covers = (final_work,)
     else:
         low_run, high_run = thr.merge_pair(work.target)
         perturbed = thr.below if low_run is thr.below else thr.at_or_above
@@ -187,6 +185,7 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
         final_work, trace = merge(graph, low_run.pruned, high_run.pruned, work)
         audits["merge_bound"] = audit_merge_bound(trace, work, dl, k_max=10).ok
         splits = len(trace.splits)
+        lp_covers = (low_run.pruned, high_run.pruned)
     t_merge = time.perf_counter()
 
     inv = perm.inverse()
@@ -195,17 +194,14 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
     covered = covered_profit(instance, cover)
     audits["feasible"] = covered >= instance.target
 
-    lp_value = None
-    if with_lp:
-        primal = solve_lp(work)
-        dual = solve_dual(work)
-        lp_value = primal.value
-        audits["strong_duality"] = primal.value == dual.value
-        audits["dl_le_lp"] = dl <= lp_value
+    primal = mixed_cover_point(work, *lp_covers)
+    audits["strong_duality"] = (is_primal_feasible(work, primal.x, primal.r)
+                                and is_dual_feasible(work, y, thr.lambda_star)
+                                and primal.value == dl)
 
     single_block = _single_blocks(instance) or _single_blocks(work)
-    if single_block and lp_value is not None:
-        audits["single_block_bound"] = cost <= lp_value + instance.max_cost()
+    if single_block:
+        audits["single_block_bound"] = cost <= primal.value + instance.max_cost()
 
     ratio = None
     oracle_cost = None
@@ -221,7 +217,7 @@ def solve_partial_tbc(instance: Instance, k: int = 4, *, with_lp: bool = False,
     t_end = time.perf_counter()
     return SolveReport(
         cover=cover, cost=cost, covered=covered, dl_value=dl,
-        lp_value=lp_value, k_used=k, splits=splits,
+        lp_value=primal.value, splits=splits,
         exact_hit=thr.exact_hit is not None, lambda_star=thr.lambda_star,
         kolen_calls=thr.kolen_calls, single_block=single_block,
         audits=audits, ratio_vs_oracle=ratio, oracle_cost=oracle_cost,
@@ -265,7 +261,7 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
 
     reduced = Instance(tuple(b_rows), instance.costs, instance.profits,
                        instance.target)
-    report = solve_partial_tbc(reduced, k)
+    report = solve_partial_tbc(reduced)
 
     covered_original = covered_profit(instance, report.cover)
     audits = dict(report.audits)
@@ -316,7 +312,7 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
 
     def base_solve(inst: Instance, dec: Decomposition | None) -> SolveReport:
         if dec is None:
-            return solve_partial_tbc(inst, k)
+            return solve_partial_tbc(inst)
         return solve_rho_separable(inst, dec, k)
 
     plain = base_solve(instance, decomposition)
@@ -694,15 +690,14 @@ def audit_corpus_entry(seed: int) -> dict:
     The solver's audits come from `solve_partial_tbc`, which raises
     AuditError when one fails.  On top of them, Kolen's runs are compared
     with the exhaustive prize-collecting oracle, and the threshold search is
-    held to its call budget, its bracketing contract and its dual
-    certificate.  Returns a deterministic, JSON-able dict; every boolean in
+    held to its call budget and its bracketing contract.  Returns a deterministic, JSON-able dict; every boolean in
     it is expected to be True.
     """
     from .generators import corpus_instance
     from .kolen import prize_collecting_value
 
     instance = corpus_instance(seed)
-    report = solve_partial_tbc(instance, with_lp=True)
+    report = solve_partial_tbc(instance)
     work, thr = report.work, report.threshold
     checks = dict(report.audits)
 
@@ -724,10 +719,6 @@ def audit_corpus_entry(seed: int) -> dict:
         checks["threshold_contract"] = (
             covered_profit(work, thr.below.pruned) < work.target
             <= covered_profit(work, thr.at_or_above.pruned))
-    y_values = [yi.value for yi in (thr.exact_hit or thr.at_star).dual.y]
-    checks["threshold_dual_feasible"] = is_dual_feasible(work, y_values, thr.lambda_star)
-    checks["threshold_dual_value_matches"] = (
-        dual_value(work, y_values, thr.lambda_star) == report.dl_value)
 
     payload = report.payload()
     out = {name: payload[name] for name in (

@@ -43,6 +43,20 @@ def test_parse_truncated_file():
         formats.parse_instance("PCOV 1\n2 2\n1\n")
 
 
+@pytest.mark.parametrize("inst", [make_instance([], [1, 2], [], 0),
+                                  make_instance([[], []], [], [1, 2], 0),
+                                  make_instance([], [], [], 0)])
+def test_instance_round_trip_empty_dimension(inst):
+    parsed = formats.parse_instance(formats.render_instance(inst))
+    assert parsed == inst
+    assert (parsed.n, parsed.m) == (inst.n, inst.m)
+
+
+def test_parse_rejects_negative_dimensions():
+    with pytest.raises(InputError, match="line 2.*nonnegative"):
+        formats.parse_instance("PCOV 1\n-1 2\n0\n1 2\n")
+
+
 def test_decomposition_round_trip():
     _, dec = gen_random_descending_paths(3, 8, 5, 4)
     text = formats.render_decomposition(dec)
@@ -71,7 +85,7 @@ def test_cli_generate_and_solve(workdir):
                   "--out", str(workdir / "fix"), cwd=workdir)
     assert out.returncode == 0, out.stderr
     solved = run_cli("solve", "--input", str(workdir / "fix.pcov"),
-                     "--k", "3", "--oracle", "--lp",
+                     "--k", "3", "--oracle",
                      "--output", str(workdir / "report.json"), cwd=workdir)
     assert solved.returncode == 0, solved.stderr
     doc = json.loads((workdir / "report.json").read_text())
@@ -79,6 +93,7 @@ def test_cli_generate_and_solve(workdir):
     payload = doc["payload"]
     assert payload["audits"]["feasible"] is True
     assert payload["oracle_cost"] is not None
+    assert payload["lp_value"] is not None
     assert "timings" in doc and "timings" not in payload
 
 
@@ -108,6 +123,21 @@ def test_cli_malformed_file_exit_2(workdir):
     out = run_cli("solve", "--input", str(bad), cwd=workdir)
     assert out.returncode == 2, out.stderr
     assert "line 6" in out.stderr
+
+
+@pytest.mark.parametrize("inst, code", [
+    (make_instance([], [1, 2], [], 0), 0),
+    (make_instance([[], []], [], [1, 2], 0), 0),
+    (make_instance([[], []], [], [1, 2], 1), 3),
+])
+def test_cli_solve_empty_dimension(workdir, inst, code):
+    (workdir / "empty.pcov").write_text(formats.render_instance(inst))
+    out = run_cli("solve", "--input", str(workdir / "empty.pcov"),
+                  "--output", str(workdir / "empty.json"), cwd=workdir)
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        payload = json.loads((workdir / "empty.json").read_text())["payload"]
+        assert payload["cover"] == [] and payload["lp_value"] == "0"
 
 
 def test_cli_infeasible_exit_3(workdir):

@@ -1,15 +1,20 @@
 """Exact simplex and the relaxation pair."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from pcover.errors import InfeasibleError
-from pcover.generators import corpus_instance, gen_gap_family
-from pcover.lp import (dual_value, is_dual_feasible, solve_dual,
-                       solve_linear_program, solve_lp)
-from pcover.model import make_instance
-from pcover.pipeline import brute_force_partial
+from pcover import pipeline
+from pcover.errors import AuditError, InfeasibleError
+from pcover.generators import (corpus_instance, gen_gap_family,
+                               gen_random_tree_instance, reduce_multicut)
+from pcover.lp import (dual_value, is_dual_feasible, is_primal_feasible,
+                       mixed_cover_point, solve_dual, solve_linear_program,
+                       solve_lp)
+from pcover.model import Cover, make_instance
+from pcover.pipeline import (brute_force_partial, solve_partial_tbc,
+                             solve_rho_separable)
 
 
 def test_simplex_small_known_lp():
@@ -66,3 +71,79 @@ def test_dual_p_zero():
     inst = make_instance([[1]], [1], [1], 0)
     dual = solve_dual(inst)
     assert dual.value == 0
+
+
+def test_mixed_cover_point_on_gap_pair():
+    # x1 and x2 mixed to cover exactly P give the family's LP optimum.
+    for q in (1, 2):
+        fam = gen_gap_family(q)
+        inst = fam.instance
+        point = mixed_cover_point(inst, Cover.of(fam.x1), Cover.of(fam.x2))
+        assert point.value == fam.dl
+        assert is_primal_feasible(inst, point.x, point.r)
+        spent = sum(p * r for p, r in zip(inst.profits, point.r))
+        assert spent == inst.total_profit() - inst.target
+
+
+def test_is_primal_feasible_rejects_each_violation():
+    inst = make_instance([[1, 0], [1, 1]], [1, 2], [1, 1], 1)
+    assert is_primal_feasible(inst, (F(1), F(0)), (F(0), F(0)))
+    assert not is_primal_feasible(inst, (F(1, 2), F(0)), (F(0), F(0)))  # row 0
+    assert not is_primal_feasible(inst, (F(0), F(0)), (F(1), F(1)))  # budget
+    assert not is_primal_feasible(inst, (F(2), F(-1)), (F(0), F(0)))  # sign
+    assert not is_primal_feasible(inst, (F(0), F(0)), (F(1),))  # short r
+
+
+def test_is_dual_feasible_rejects_each_violation():
+    inst = make_instance([[1, 0], [1, 1]], [2, 1], [1, 1], 1)
+    assert is_dual_feasible(inst, (F(1), F(1)), F(1))
+    assert not is_dual_feasible(inst, (F(1, 2), F(3, 2)), F(2))  # set 1 cost
+    assert not is_dual_feasible(inst, (F(1), F(1)), F(1, 2))  # cap
+    assert not is_dual_feasible(inst, (F(-1), F(0)), F(1))  # sign
+
+
+def test_certified_lp_value_matches_simplex_on_corpus():
+    for seed in range(200):
+        inst = corpus_instance(seed)
+        assert solve_partial_tbc(inst).lp_value == solve_lp(inst).value, seed
+
+
+def test_certified_lp_value_matches_simplex_on_gap_and_empty():
+    for q in (1, 2):
+        inst = gen_gap_family(q).instance
+        assert solve_partial_tbc(inst).lp_value == solve_lp(inst).value, q
+    empty = make_instance([], [1, 2], [], 0)
+    assert solve_partial_tbc(empty).lp_value == solve_lp(empty).value == 0
+
+
+def test_certified_lp_value_matches_simplex_on_rho_reductions(monkeypatch):
+    solved = []
+
+    def recording(instance, **kwargs):
+        report = solve_partial_tbc(instance, **kwargs)
+        solved.append((instance, report))
+        return report
+
+    monkeypatch.setattr(pipeline, "solve_partial_tbc", recording)
+    for seed in range(1, 21):
+        inst, dec = reduce_multicut(gen_random_tree_instance(seed))
+        solve_rho_separable(inst, dec)
+    assert len(solved) == 20
+    for reduced, report in solved:
+        assert report.lp_value == solve_lp(reduced).value
+
+
+def test_failed_dual_check_fails_strong_duality(monkeypatch):
+    monkeypatch.setattr(pipeline, "is_dual_feasible", lambda *args: False)
+    with pytest.raises(AuditError, match="strong_duality"):
+        solve_partial_tbc(corpus_instance(1))
+
+
+def test_unequal_objectives_fail_strong_duality(monkeypatch):
+    def off_by_one(*args):
+        point = mixed_cover_point(*args)
+        return replace(point, value=point.value + 1)
+
+    monkeypatch.setattr(pipeline, "mixed_cover_point", off_by_one)
+    with pytest.raises(AuditError, match="strong_duality"):
+        solve_partial_tbc(corpus_instance(1))

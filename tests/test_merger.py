@@ -11,9 +11,16 @@ from pcover.kolen import DualSolution
 from pcover.merger import (MergeContext, MergeTrace, absolute_benefits,
                            audit_merge_bound, build_merger_graph, decrease,
                            increase, merge, relative_benefit)
+from pcover.lp import dual_value
 from pcover.model import Cover, cover_cost, covered_profit, make_instance
-from pcover.pipeline import _threshold_dl, to_greedy_form
+from pcover.pipeline import to_greedy_form
 from pcover.threshold import find_threshold
+
+
+def _threshold_dl(work, thr):
+    """DL of a bracketing threshold run: its dual at the threshold multiplier."""
+    y = [yi.value for yi in thr.at_star.dual.y]
+    return dual_value(work, y, thr.lambda_star)
 
 
 def _dual(y_values, lam=0):

@@ -64,7 +64,7 @@ def test_blackbox_prize_collecting_closed_forms():
 
 
 def test_solve_single_set_fixture():
-    report = solve_partial_tbc(SINGLE_SET, 3, with_lp=True, oracle=True)
+    report = solve_partial_tbc(SINGLE_SET, oracle=True)
     assert report.cover.sets == (0,)
     assert report.cost == 1
     assert report.dl_value == F(1, 2)
@@ -87,7 +87,7 @@ def test_solve_unattainable_target():
 
 def test_solve_gap_family_bounds():
     fam = gen_gap_family(1)
-    report = solve_partial_tbc(fam.instance, 3, with_lp=True, oracle=True)
+    report = solve_partial_tbc(fam.instance, oracle=True)
     assert report.oracle_cost == 15
     assert report.cost >= 15
     for k in range(1, 11):
@@ -128,7 +128,7 @@ def test_rho_separable_single_part_reduces_to_plain_solve():
     inst = corpus_instance(2)
     dec = Decomposition(1, (inst.rows,))
     a = solve_rho_separable(inst, dec, 4)
-    b = solve_partial_tbc(inst, 4)
+    b = solve_partial_tbc(inst)
     assert a.cover == b.cover and a.cost == b.cost
 
 
@@ -153,7 +153,7 @@ def test_rho_separable_timings_include_its_lp():
 def test_absorb_k0_is_plain_solve():
     inst = corpus_instance(5)
     cover = absorb_additive_error(inst, 0, F(3, 2))
-    assert cover == solve_partial_tbc(inst, 0).cover
+    assert cover == solve_partial_tbc(inst).cover
 
 
 def test_absorb_never_worse_than_plain():
@@ -288,7 +288,7 @@ ENTRY_FIELDS = ("cost", "dl_value", "lp_value", "kolen_calls", "lambda_star",
 def test_corpus_entry_reports_the_solve():
     for seed in range(1, 31):
         entry = audit_corpus_entry(seed)
-        payload = solve_partial_tbc(corpus_instance(seed), with_lp=True).payload()
+        payload = solve_partial_tbc(corpus_instance(seed)).payload()
         for name in ENTRY_FIELDS:
             assert entry[name] == payload[name], (seed, name)
         assert entry["final_cover"] == payload["cover"], seed

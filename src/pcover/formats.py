@@ -43,6 +43,12 @@ class _Lines:
         raise InputError(f"unexpected end of file, expected {what}",
                          line=len(self.raw) + 1)
 
+    def end(self) -> None:
+        """Reject any content line after the last expected one."""
+        for line, lineno in self.rest():
+            raise InputError(f"unexpected trailing content {line[:40]!r}",
+                             line=lineno)
+
     def rest(self):
         while self.pos < len(self.raw):
             line = self.raw[self.pos].strip()
@@ -105,6 +111,7 @@ def parse_instance(text: str) -> Instance:
     profits = _rationals(*lines.next("profits"), n, "profits") if n else []
     rows = ([_matrix_row(*lines.next("matrix row"), m) for _ in range(n)]
             if m else [()] * n)
+    lines.end()
     return make_instance(rows, costs, profits, target)
 
 
@@ -136,6 +143,7 @@ def parse_decomposition(text: str, n: int, m: int) -> Decomposition:
             line, lineno = lines.next("part row")
             rows.append(_matrix_row(line, lineno, m))
         parts.append(tuple(rows))
+    lines.end()
     return Decomposition(rho, tuple(parts))
 
 

@@ -347,7 +347,8 @@ def gen_random_descending_paths(seed: int, nodes: int, num_cover_paths: int,
     costs = [rng.rational(cost_num_hi, cost_den_hi) for _ in cover_paths]
     profits = [rng.rational(profit_num_hi, profit_den_hi) for _ in demand_paths]
     total = sum(profits, Fraction(0))
-    resolved = total / 2 if target is None else as_rational(target)
+    coverable = sum((p for p, row in zip(profits, rows) if any(row)), Fraction(0))
+    resolved = min(total / 2, coverable) if target is None else as_rational(target)
     instance = make_instance(rows, costs, profits, resolved)
     decomposition = Decomposition(1, (instance.rows,))
     return instance, decomposition
@@ -530,8 +531,9 @@ def reduce_path_hitting(tree: TreeInstance, cover_paths, demand_paths,
     Sets are the nonempty descending halves of the cover paths, each
     inheriting the full parent cost (the doubling behind the extra factor
     2 in the end-to-end guarantee).  Elements are the demand paths, whole;
-    the decomposition splits their incidence at each demand's LCA.
-    Returns (Instance, Decomposition, metadata).
+    the decomposition splits their incidence at each demand's LCA.  The
+    default target is half the total profit, capped at the profit of the
+    demands some half meets.  Returns (Instance, Decomposition, metadata).
     """
     parents = list(tree.parents)
     depths = tree.depths()
@@ -566,7 +568,8 @@ def reduce_path_hitting(tree: TreeInstance, cover_paths, demand_paths,
 
     rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(part1, part2)]
     total = sum(profits, Fraction(0))
-    resolved = total / 2 if target is None else as_rational(target)
+    coverable = sum((p for p, row in zip(profits, rows) if any(row)), Fraction(0))
+    resolved = min(total / 2, coverable) if target is None else as_rational(target)
     instance = make_instance(rows, half_costs, profits, resolved)
     decomposition = Decomposition(2, (tuple(tuple(r) for r in part1),
                                       tuple(tuple(r) for r in part2)))

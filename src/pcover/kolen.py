@@ -5,16 +5,34 @@ either a containing set runs out of residual cost or the variable hits its
 penalty cap, then prune the tight sets in reverse index order, dropping
 dominated sets.  On a matrix in greedy standard form the pruned cover is an
 exact optimum of the prize-collecting problem, and `audit_optimality`
-re-checks that certificate on every run.
+re-checks that certificate on every solve.
 
-The multiplier is a DeltaRational throughout, so runs at formally perturbed
-multipliers (lambda - d, lambda + d) reuse this code unchanged.
+The multiplier is a DeltaRational lambda = a/b + delta * d, so runs at
+formally perturbed multipliers (lambda - d, lambda + d) use the same code.
+The run itself is on packed Python ints: every value part is scaled by
+L = L_c * L_p * b (L_c, L_p the lcms of the cost and profit denominators),
+every delta part by L_p times the denominator of delta, and the pair is
+stored as one int ``V * K + E`` with K = 2H + 1 and |E| <= H.  Integer
+order is then the lexicographic order of DeltaRational, and a subtraction
+is one int operation.
+
+The bound H: the delta part of y_i is delta times a one-sided slope of
+y_i(lambda).  Kolen's run on the first i rows (a gamma-free matrix too)
+gives y_0..y_i, and their sum is that prefix's prize-collecting optimum, a
+concave function whose slopes lie in [0, sum of profits].  So every delta
+part of y_i is at most |delta| * p(U) in absolute value, and a residual,
+a cost minus at most n duals, at most n times that.
+
+`kolen` keeps the run packed: its pruned and tight covers are computed
+eagerly, and `KolenResult.dual` decodes the DualSolution only when it is
+read.  The audits work on the decoded DeltaRationals, not on the ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import DeltaRational
 from .errors import InputError
@@ -32,12 +50,12 @@ class DualSolution:
 
     def recompute_residuals(self, instance: Instance) -> tuple[DeltaRational, ...]:
         out = []
-        for j in range(instance.m):
-            total = DeltaRational(instance.costs[j])
-            mask = instance.col_masks[j]
-            for i in range(instance.n):
-                if mask >> i & 1:
-                    total = total - self.y[i]
+        for c, mask in zip(instance.costs, instance.col_masks):
+            total = DeltaRational(c)
+            while mask:
+                low = mask & -mask
+                total = total - self.y[low.bit_length() - 1]
+                mask ^= low
             out.append(total)
         return tuple(out)
 
@@ -50,10 +68,50 @@ class DualSolution:
 
 
 @dataclass(frozen=True)
+class _PackedDual:
+    """A dual solution as packed ints ``V * base + E``, |E| <= base // 2."""
+
+    lam: DeltaRational
+    y: list[int]
+    residuals: list[int]
+    value_scale: int
+    delta_scale: int
+    base: int
+
+    def decode(self) -> DualSolution:
+        half, base = self.base // 2, self.base
+
+        def unpack(x: int) -> DeltaRational:
+            v = (x + half) // base
+            return DeltaRational(Fraction(v, self.value_scale),
+                                 Fraction(x - v * base, self.delta_scale))
+
+        return DualSolution(tuple(map(unpack, self.y)), self.lam,
+                            tuple(map(unpack, self.residuals)))
+
+
 class KolenResult:
-    pruned: Cover
-    tight: Cover
-    dual: DualSolution
+    """Pruned and tight covers of one run, and its dual solution.
+
+    `dual` is a DualSolution, or a packed run that is decoded into one the
+    first time `dual` is read.
+    """
+
+    __slots__ = ("pruned", "tight", "_dual")
+
+    def __init__(self, pruned: Cover, tight: Cover, dual):
+        self.pruned = pruned
+        self.tight = tight
+        self._dual = dual
+
+    @property
+    def dual(self) -> DualSolution:
+        if not isinstance(self._dual, DualSolution):
+            self._dual = self._dual.decode()
+        return self._dual
+
+    def __repr__(self):
+        return f"KolenResult(pruned={self.pruned}, tight={self.tight})"
 
 
 def _require_sgf(instance: Instance) -> None:
@@ -63,37 +121,58 @@ def _require_sgf(instance: Instance) -> None:
         raise InputError("matrix is not in greedy standard form")
 
 
-def dual_update(instance: Instance, lam) -> DualSolution:
-    """Raise duals in element index order; exact DeltaRational arithmetic.
-
-    An element contained in no set gets the full penalty cap lambda * p_i.
-    """
+def _multiplier(instance: Instance, lam) -> DeltaRational:
     _require_sgf(instance)
     lam = DeltaRational.of(lam)
     if not lam.is_nonnegative():
         raise InputError(f"negative multiplier {lam}")
-    residuals = [DeltaRational(c) for c in instance.costs]
-    y: list[DeltaRational] = []
-    for i in range(instance.n):
-        cap = lam * instance.profits[i]
-        best = None
-        mask = instance.row_masks[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            mask ^= low
-            if best is None or residuals[j] < best:
-                best = residuals[j]
-        yi = cap if best is None or cap < best else best
+    return lam
+
+
+def _packed_dual_update(instance: Instance, lam: DeltaRational) -> _PackedDual:
+    """Raise duals in element index order on packed ints.
+
+    An element contained in no set gets the full penalty cap lambda * p_i.
+    """
+    a, b = lam.value.numerator, lam.value.denominator
+    d_num, d_den = lam.delta.numerator, lam.delta.denominator
+    l_c = lcm(*(c.denominator for c in instance.costs))
+    l_p = lcm(*(p.denominator for p in instance.profits))
+    profits = [p.numerator * (l_p // p.denominator) for p in instance.profits]
+    base = 2 * abs(d_num) * sum(profits) * max(instance.n, 1) + 1
+    cap_unit = a * l_c * base + d_num  # lambda * p_i packs as cap_unit * P_i
+    cost_unit = l_p * b * base
+    residuals = [c.numerator * (l_c // c.denominator) * cost_unit
+                 for c in instance.costs]
+    y = []
+    for sets, p in zip(instance.element_sets(), profits):
+        yi = cap_unit * p
+        for j in sets:
+            if residuals[j] < yi:
+                yi = residuals[j]
         y.append(yi)
-        if not yi.is_zero():
-            mask = instance.row_masks[i]
-            while mask:
-                low = mask & -mask
-                j = low.bit_length() - 1
-                mask ^= low
-                residuals[j] = residuals[j] - yi
-    return DualSolution(tuple(y), lam, tuple(residuals))
+        if yi:
+            for j in sets:
+                residuals[j] -= yi
+    return _PackedDual(lam, y, residuals, l_c * l_p * b, l_p * d_den, base)
+
+
+def _prune(instance: Instance, tight, pos_mask: int) -> Cover:
+    """Reverse delete: scanning tight sets by descending index, keep a set
+    unless a kept one shares an element of positive dual with it."""
+    kept = []
+    union = 0
+    for j in reversed(tight):
+        mask = instance.col_masks[j]
+        if not union & mask & pos_mask:
+            kept.append(j)
+            union |= mask
+    return Cover(tuple(reversed(kept)))
+
+
+def dual_update(instance: Instance, lam) -> DualSolution:
+    """Raise duals in element index order; exact DeltaRational results."""
+    return _packed_dual_update(instance, _multiplier(instance, lam)).decode()
 
 
 def tight_sets(dual: DualSolution) -> Cover:
@@ -105,24 +184,18 @@ def reverse_delete(instance: Instance, tight: Cover, dual: DualSolution) -> Cove
     for j in tight.sets:
         if not dual.residuals[j].is_zero():
             raise InputError(f"set {j} is not tight (residual {dual.residuals[j]})")
-    pos_mask = dual.positive_y_mask()
-    remaining = set(tight.sets)
-    pruned = []
-    while remaining:
-        j = max(remaining)
-        pruned.append(j)
-        remaining.discard(j)
-        doomed = [j2 for j2 in remaining
-                  if instance.col_masks[j] & instance.col_masks[j2] & pos_mask]
-        remaining.difference_update(doomed)
-    return Cover.of(pruned)
+    return _prune(instance, tight.sets, dual.positive_y_mask())
 
 
 def kolen(instance: Instance, lam) -> KolenResult:
-    dual = dual_update(instance, lam)
-    tight = tight_sets(dual)
-    pruned = reverse_delete(instance, tight, dual)
-    return KolenResult(pruned=pruned, tight=tight, dual=dual)
+    """One run: covers computed now, the dual decoded when first read."""
+    packed = _packed_dual_update(instance, _multiplier(instance, lam))
+    tight = tuple(j for j, r in enumerate(packed.residuals) if not r)
+    pos_mask = 0
+    for i, yi in enumerate(packed.y):
+        if yi > 0:
+            pos_mask |= 1 << i
+    return KolenResult(_prune(instance, tight, pos_mask), Cover(tight), packed)
 
 
 @dataclass(frozen=True)
@@ -158,9 +231,12 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
     if lhs != rhs:
         return OptimalityAudit(False, "a", f"cost+penalty {lhs} != dual total {rhs}")
 
+    pruned_mask = 0
+    for j in result.pruned.sets:
+        pruned_mask |= 1 << j
     for i in range(instance.n):
         if dual.y[i].is_positive():
-            hits = sum(1 for j in result.pruned.sets if instance.rows[i][j])
+            hits = (instance.row_masks[i] & pruned_mask).bit_count()
             if hits > 1:
                 return OptimalityAudit(False, "b",
                                        f"element {i} with positive dual covered {hits} times")

@@ -44,6 +44,16 @@ def col_bitmasks(rows: MatrixRows, m: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Instance:
     """Immutable covering instance.
 
@@ -52,7 +62,7 @@ class Instance:
     """
 
     __slots__ = ("n", "m", "rows", "costs", "profits", "target",
-                 "row_masks", "col_masks", "_gamma_free")
+                 "row_masks", "col_masks", "_gamma_free", "_element_sets")
 
     def __init__(self, rows: MatrixRows, costs: tuple[Fraction, ...],
                  profits: tuple[Fraction, ...], target: Fraction):
@@ -65,9 +75,17 @@ class Instance:
         self.row_masks = row_bitmasks(rows)
         self.col_masks = col_bitmasks(rows, self.m)
         self._gamma_free: bool | None = None
+        self._element_sets: tuple[tuple[int, ...], ...] | None = None
+
+    def element_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Per element, the ascending indices of the sets containing it;
+        built from `row_masks` on first use and then kept."""
+        if self._element_sets is None:
+            self._element_sets = tuple(map(bit_indices, self.row_masks))
+        return self._element_sets
 
     def sets_of_element(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.rows[i]) if v)
+        return self.element_sets()[i]
 
     def elements_of_set(self, j: int) -> tuple[int, ...]:
         mask = self.col_masks[j]

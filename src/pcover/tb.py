@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import check_guard
-from .model import (MatrixRows, PermutationPair, _freeze_matrix, col_bitmasks,
-                    row_bitmasks)
+from .model import (MatrixRows, PermutationPair, _freeze_matrix, bit_indices,
+                    col_bitmasks, row_bitmasks)
 
 TB_CHECK_LIMIT = 12
 
@@ -69,9 +69,12 @@ class GammaWitness:
 
 def gamma_witness(matrix) -> GammaWitness | None:
     """First (lexicographically smallest) occurrence of the pattern, if any."""
-    rows = _freeze_matrix(matrix)
-    masks = row_bitmasks(rows)
-    n = len(rows)
+    return _gamma_witness(row_bitmasks(_freeze_matrix(matrix)))
+
+
+def _gamma_witness(masks) -> GammaWitness | None:
+    """`gamma_witness` over the row bitmasks of the matrix."""
+    n = len(masks)
     for i1 in range(n):
         for i2 in range(i1 + 1, n):
             common = masks[i1] & masks[i2]
@@ -159,11 +162,15 @@ def doubly_lexical_order(matrix) -> tuple[list[int], list[int]]:
     both rows and columns ascend; see the module docstring for why the
     alternating sorts terminate."""
     rows = _freeze_matrix(matrix)
-    n = len(rows)
     m = len(rows[0]) if rows else 0
-    cols_of = [[j for j, v in enumerate(row) if v] for row in rows]
-    rows_of = [[i for i in range(n) if rows[i][j]] for j in range(m)]
-    row_order, col_order = list(range(n)), list(range(m))
+    return _doubly_lexical_order(row_bitmasks(rows), col_bitmasks(rows, m))
+
+
+def _doubly_lexical_order(row_masks, col_masks) -> tuple[list[int], list[int]]:
+    """`doubly_lexical_order` over the row and column bitmasks."""
+    cols_of = [bit_indices(mask) for mask in row_masks]
+    rows_of = [bit_indices(mask) for mask in col_masks]
+    row_order, col_order = list(range(len(row_masks))), list(range(len(col_masks)))
     while True:
         row_order = _sorted_by_bits(row_order, cols_of, col_order)
         new_cols = _sorted_by_bits(col_order, rows_of, row_order)
@@ -193,16 +200,22 @@ def standard_greedy_form(matrix) -> SgfResult:
     rows = _freeze_matrix(matrix)
     n = len(rows)
     m = len(rows[0]) if rows else 0
+    row_masks = row_bitmasks(rows)
 
-    if gamma_witness(rows) is None:
+    if _gamma_witness(row_masks) is None:
         return SgfResult(True, PermutationPair.identity(n, m), rows, "identity")
 
-    row_order, col_order = doubly_lexical_order(rows)
+    row_order, col_order = _doubly_lexical_order(row_masks, col_bitmasks(rows, m))
     perm = _perm_from_orders(row_order, col_order)
-    permuted = perm.apply_to_matrix(rows)
-    found = gamma_witness(permuted)
+    permuted_masks = []
+    for i in row_order:
+        mask = 0
+        for j in bit_indices(row_masks[i]):
+            mask |= 1 << perm.col_perm[j]
+        permuted_masks.append(mask)
+    found = _gamma_witness(permuted_masks)
     if found is None:
-        return SgfResult(True, perm, permuted, "doubly-lexical")
+        return SgfResult(True, perm, perm.apply_to_matrix(rows), "doubly-lexical")
     witness = GammaWitness(tuple(row_order[i] for i in found.rows),
                            tuple(col_order[j] for j in found.cols))
     return SgfResult(False, mode="doubly-lexical", witness=witness)

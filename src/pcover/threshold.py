@@ -13,6 +13,13 @@ element whose candidate lines cross inside the interval yields the
 breakpoints of their lower envelope, and a binary search over those
 breakpoints (each probe one exact perturbed run) either returns a
 threshold or narrows the interval so that one more element is agreed on.
+This is a Megiddo-style parametric search (Megiddo, "Combinatorial
+optimization with rational objective functions", 1979).  The symbolic
+pass is resumed, not restarted, after each round: the interval only
+shrinks, so the elements already agreed on stay agreed and the pass costs
+one envelope computation per element plus one per round in total.  The
+probes run the packed-int kernel of `pcover.kolen`; only the runs that
+the result keeps have their duals decoded.
 
 Any materialized run that covers exactly P short-circuits the search: by
 the exactness certificate such a cover is optimal for the partial problem.
@@ -107,35 +114,48 @@ class ThresholdResult:
         return self.at_star, self.at_or_above
 
 
-def _dual_lines(instance: Instance, lo: Fraction, hi: Fraction):
-    """Run the dual update symbolically over the open interval (lo, hi).
+class _SymbolicPass:
+    """The dual update run symbolically, resumed from round to round.
 
-    Returns ('agree', lines) when every element's dual is a single linear
-    function of lambda across the interval, else ('split', i, breakpoints,
-    lines-so-far) for the first element whose candidate envelope changes
-    identity inside the interval.
+    Every dual variable and residual cost is a line (intercept, slope) in
+    lambda.  `advance(lo, hi)` continues from the first element not yet
+    agreed on and returns ('agree', lines) when every element's dual is a
+    single linear function of lambda across the open interval, else
+    ('split', i, breakpoints, lines-so-far) for the first element whose
+    candidate envelope changes identity inside it.  The search only ever
+    shrinks the interval, and lines that agree on an interval agree on
+    every subinterval, so agreed elements are never run again and a whole
+    search calls `lower_envelope_breakpoints` at most n + rounds times.
     """
-    residuals: list[Line] = [(c, Fraction(0)) for c in instance.costs]
-    lines: list[Line] = []
-    mid = (lo + hi) / 2
-    for i in range(instance.n):
-        candidates = [residuals[j] for j in instance.sets_of_element(i)]
-        candidates.append((Fraction(0), instance.profits[i]))
-        bps = lower_envelope_breakpoints(candidates, (lo, hi))
-        if bps:
-            return ("split", i, bps, tuple(lines))
-        best_value = min(a + b * mid for a, b in candidates)
-        winners = {(a, b) for a, b in candidates if a + b * mid == best_value}
-        if len(winners) != 1:
-            raise InternalInvariantError(
-                f"element {i}: distinct minimal lines without an envelope breakpoint")
-        yi = winners.pop()
-        lines.append(yi)
-        if yi != (0, 0):
-            for j in instance.sets_of_element(i):
-                a, b = residuals[j]
-                residuals[j] = (a - yi[0], b - yi[1])
-    return ("agree", tuple(lines))
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.residuals: list[Line] = [(c, Fraction(0)) for c in instance.costs]
+        self.lines: list[Line] = []
+
+    def advance(self, lo: Fraction, hi: Fraction):
+        instance, residuals, lines = self.instance, self.residuals, self.lines
+        element_sets = instance.element_sets()
+        mid = (lo + hi) / 2
+        for i in range(len(lines), instance.n):
+            sets = element_sets[i]
+            candidates = [residuals[j] for j in sets]
+            candidates.append((Fraction(0), instance.profits[i]))
+            bps = lower_envelope_breakpoints(candidates, (lo, hi))
+            if bps:
+                return ("split", i, bps, tuple(lines))
+            best_value = min(a + b * mid for a, b in candidates)
+            winners = {(a, b) for a, b in candidates if a + b * mid == best_value}
+            if len(winners) != 1:
+                raise InternalInvariantError(
+                    f"element {i}: distinct minimal lines without an envelope breakpoint")
+            yi = winners.pop()
+            lines.append(yi)
+            if yi != (0, 0):
+                for j in sets:
+                    a, b = residuals[j]
+                    residuals[j] = (a - yi[0], b - yi[1])
+        return ("agree", tuple(lines))
 
 
 class _Prober:
@@ -203,8 +223,9 @@ def find_threshold(instance: Instance) -> ThresholdResult:
     # just below `hi` every coverable element is covered because the
     # doubled penalty cap strictly exceeds any containing set's cost.
 
+    symbolic = _SymbolicPass(instance)
     for _round in range(instance.n + 1):
-        outcome = _dual_lines(instance, lo, hi)
+        outcome = symbolic.advance(lo, hi)
         if outcome[0] == "agree":
             raise InternalInvariantError(
                 "full agreement inside the bracketing interval")

@@ -125,6 +125,33 @@ def test_cli_malformed_file_exit_2(workdir):
     assert "line 6" in out.stderr
 
 
+@pytest.mark.parametrize("tail", ["garbage here\n", "0\n", "\n\n# note\n01\n"])
+def test_cli_trailing_content_exit_2(workdir, tail):
+    text = "PCOV 1\n2 2\n1\n1 1\n1 1\n10\n01\n"
+    (workdir / "tail.pcov").write_text(text + tail)
+    out = run_cli("solve", "--input", str(workdir / "tail.pcov"), cwd=workdir)
+    assert out.returncode == 2, out.stderr
+    line = 8 + tail.count("\n") - 1
+    assert f"line {line}: unexpected trailing content" in out.stderr
+
+
+def test_cli_trailing_blank_lines_accepted(workdir):
+    text = "PCOV 1\n2 2\n1\n1 1\n1 1\n10\n01\n\n   \n# end\n"
+    (workdir / "ok.pcov").write_text(text)
+    out = run_cli("solve", "--input", str(workdir / "ok.pcov"), cwd=workdir)
+    assert out.returncode == 0, out.stderr
+
+
+def test_cli_decomposition_trailing_content_exit_2(workdir):
+    inst = make_instance([[1, 0], [0, 1]], [1, 1], [1, 1], 1)
+    (workdir / "d.pcov").write_text(formats.render_instance(inst))
+    (workdir / "d.dec").write_text("PCOVDEC 1\n1\n10\n01\n\n10\n")
+    out = run_cli("solve", "--input", str(workdir / "d.pcov"),
+                  "--decomposition", str(workdir / "d.dec"), cwd=workdir)
+    assert out.returncode == 2, out.stderr
+    assert "line 6: unexpected trailing content" in out.stderr
+
+
 @pytest.mark.parametrize("inst, code", [
     (make_instance([], [1, 2], [], 0), 0),
     (make_instance([[], []], [], [1, 2], 0), 0),

@@ -210,6 +210,20 @@ def test_reduce_path_hitting_random_instances_are_separable():
             assert is_totally_balanced(part) or inst.n > 12
 
 
+def test_reduce_path_hitting_default_target_is_coverable():
+    # Seed 1 draws demands of total profit 21 of which only 5 meet a cover
+    # path; half the total would be unattainable.
+    from pcover.pipeline import solve_rho_separable
+    inst, _, _ = reduce_path_hitting(*gen_random_path_hitting(1))
+    assert inst.total_profit() == 21
+    assert inst.target == inst.coverable_profit() == 5
+    for seed in range(1, 21):
+        inst, dec, _ = reduce_path_hitting(*gen_random_path_hitting(seed))
+        assert inst.target == min(inst.total_profit() / 2, inst.coverable_profit())
+        report = solve_rho_separable(inst, dec)
+        assert report.covered >= inst.target
+
+
 def test_reduce_rectangles_1d_interval_matrix():
     rect = gen_random_rectangles(3, 1)
     inst, dec, path_flag = reduce_rectangle_stabbing(rect)

@@ -36,7 +36,7 @@ from math import lcm
 
 from .arith import DeltaRational
 from .errors import InputError
-from .model import Cover, Instance, covered_element_mask
+from .model import Cover, Instance, bit_indices, covered_element_mask
 from .tb import is_gamma_free
 
 
@@ -52,10 +52,8 @@ class DualSolution:
         out = []
         for c, mask in zip(instance.costs, instance.col_masks):
             total = DeltaRational(c)
-            while mask:
-                low = mask & -mask
-                total = total - self.y[low.bit_length() - 1]
-                mask ^= low
+            for i in bit_indices(mask):
+                total = total - self.y[i]
             out.append(total)
         return tuple(out)
 

@@ -88,8 +88,7 @@ class Instance:
         return self.element_sets()[i]
 
     def elements_of_set(self, j: int) -> tuple[int, ...]:
-        mask = self.col_masks[j]
-        return tuple(i for i in range(self.n) if mask >> i & 1)
+        return bit_indices(self.col_masks[j])
 
     def total_profit(self) -> Fraction:
         return sum(self.profits, Fraction(0))

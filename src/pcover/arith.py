@@ -132,9 +132,6 @@ class DeltaRational:
         return f"{format_rational(self.value)}{sign}{format_rational(abs(self.delta))}d"
 
 
-DR_ZERO = DeltaRational(0)
-
-
 def delta_cmp(a: DeltaRational, b: DeltaRational) -> int:
     """Three-way lexicographic comparison: -1, 0, or +1."""
     ka, kb = a._key(), b._key()

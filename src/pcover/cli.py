@@ -170,15 +170,15 @@ def cmd_verify(args) -> int:
     check = args.check
     if check == "tb":
         instance = formats.parse_instance(_read(args.input))
-        direct = is_totally_balanced(instance.rows)
-        sgf = standard_greedy_form(instance.rows)
+        direct = is_totally_balanced(instance.row_masks, instance.m)
+        sgf = standard_greedy_form(instance.row_masks, instance.m)
         agree = direct == sgf.ok
         print(f"totally-balanced: direct={direct} reorder={sgf.ok} "
               f"{'PASS' if agree else 'FAIL'}")
         return EXIT_OK if agree else EXIT_AUDIT
     if check == "sgf":
         instance = formats.parse_instance(_read(args.input))
-        sgf = standard_greedy_form(instance.rows)
+        sgf = standard_greedy_form(instance.row_masks, instance.m)
         if sgf.ok:
             print(f"greedy standard form found ({sgf.mode}); "
                   f"row_perm={list(sgf.perm.row_perm)} col_perm={list(sgf.perm.col_perm)}")

@@ -16,12 +16,13 @@ Node ids in tree files are 1-based with parent 0 marking the root.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .arith import format_rational, parse_rational
 from .errors import InputError
 from .generators import TreeInstance
-from .model import Decomposition, Instance, make_instance
+from .model import Decomposition, Instance, checked_instance
 
 INSTANCE_MAGIC = "PCOV 1"
 DECOMPOSITION_MAGIC = "PCOVDEC 1"
@@ -78,16 +79,19 @@ def _int(token: str, lineno: int, what: str) -> int:
         raise InputError(f"bad {what}: {token!r}", line=lineno) from exc
 
 
-def _matrix_row(line: str, lineno: int, m: int) -> tuple[int, ...]:
+_NOT_BINARY = re.compile("[^01]")
+
+
+def _matrix_line(line: str, lineno: int, m: int) -> str:
+    """`line` itself, once checked to be m characters, each 0 or 1."""
     if len(line) != m:
         raise InputError(f"matrix row has {len(line)} characters, expected {m}",
                          line=lineno)
-    row = []
-    for col, ch in enumerate(line):
-        if ch not in "01":
-            raise InputError(f"matrix entry {ch!r}", line=lineno, column=col + 1)
-        row.append(int(ch))
-    return tuple(row)
+    bad = _NOT_BINARY.search(line)
+    if bad:
+        raise InputError(f"matrix entry {bad.group()!r}", line=lineno,
+                         column=bad.start() + 1)
+    return line
 
 
 def parse_instance(text: str) -> Instance:
@@ -109,10 +113,11 @@ def parse_instance(text: str) -> Instance:
     # Empty lists and empty rows render as blank lines, which are skipped.
     costs = _rationals(*lines.next("costs"), m, "costs") if m else []
     profits = _rationals(*lines.next("profits"), n, "profits") if n else []
-    rows = ([_matrix_row(*lines.next("matrix row"), m) for _ in range(n)]
-            if m else [()] * n)
+    # Character k is bit k of the row mask: the reversed line is its binary.
+    masks = ([int(_matrix_line(*lines.next("matrix row"), m)[::-1], 2)
+              for _ in range(n)] if m else [0] * n)
     lines.end()
-    return make_instance(rows, costs, profits, target)
+    return checked_instance(masks, costs, profits, target)
 
 
 def render_instance(instance: Instance) -> str:
@@ -121,8 +126,10 @@ def render_instance(instance: Instance) -> str:
            format_rational(instance.target),
            " ".join(format_rational(c) for c in instance.costs),
            " ".join(format_rational(p) for p in instance.profits)]
-    for row in instance.rows:
-        out.append("".join(str(v) for v in row))
+    # bin(mask | 1 << m) is '0b1' then columns m-1..0, also when m = 0.
+    top = 1 << instance.m
+    for mask in instance.row_masks:
+        out.append(bin(mask | top)[:2:-1])
     return "\n".join(out) + "\n"
 
 
@@ -141,7 +148,7 @@ def parse_decomposition(text: str, n: int, m: int) -> Decomposition:
         rows = []
         for _ in range(n):
             line, lineno = lines.next("part row")
-            rows.append(_matrix_row(line, lineno, m))
+            rows.append(tuple(map(int, _matrix_line(line, lineno, m))))
         parts.append(tuple(rows))
     lines.end()
     return Decomposition(rho, tuple(parts))

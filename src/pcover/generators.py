@@ -350,7 +350,7 @@ def gen_random_descending_paths(seed: int, nodes: int, num_cover_paths: int,
     coverable = sum((p for p, row in zip(profits, rows) if any(row)), Fraction(0))
     resolved = min(total / 2, coverable) if target is None else as_rational(target)
     instance = make_instance(rows, costs, profits, resolved)
-    decomposition = Decomposition(1, (instance.rows,))
+    decomposition = Decomposition(1, (tuple(map(tuple, rows)),))
     return instance, decomposition
 
 

@@ -114,7 +114,7 @@ class KolenResult:
 
 def _require_sgf(instance: Instance) -> None:
     if instance._gamma_free is None:
-        instance._gamma_free = is_gamma_free(instance.rows)
+        instance._gamma_free = is_gamma_free(instance.row_masks)
     if not instance._gamma_free:
         raise InputError("matrix is not in greedy standard form")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, InternalInvariantError
-from .model import Cover, Instance, covered_element_mask
+from .model import Cover, Instance, bit_indices, covered_element_mask
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -171,7 +171,7 @@ def solve_lp(instance: Instance) -> FractionalSolution:
     costs = list(instance.costs) + [ZERO] * n
     constraints = []
     for i in range(n):
-        coeffs = [Fraction(instance.rows[i][j]) for j in range(m)]
+        coeffs = [ONE if instance.row_masks[i] >> j & 1 else ZERO for j in range(m)]
         coeffs += [ONE if k == i else ZERO for k in range(n)]
         constraints.append((coeffs, ">=", ONE))
     budget = instance.total_profit() - instance.target
@@ -191,7 +191,7 @@ def solve_dual(instance: Instance) -> DualFractional:
     costs = [-ONE] * n + [budget]
     constraints = []
     for j in range(m):
-        coeffs = [Fraction(instance.rows[i][j]) for i in range(n)] + [ZERO]
+        coeffs = [ONE if instance.col_masks[j] >> i & 1 else ZERO for i in range(n)] + [ZERO]
         constraints.append((coeffs, "<=", instance.costs[j]))
     for i in range(n):
         coeffs = [ONE if k == i else ZERO for k in range(n)] + [-instance.profits[i]]
@@ -238,7 +238,7 @@ def is_primal_feasible(instance: Instance, x, r) -> bool:
     if any(v < 0 for v in x) or any(v < 0 for v in r):
         return False
     for ri, mask in zip(r, instance.row_masks):
-        if sum((x[j] for j in _bits(mask)), ri) < 1:
+        if sum((x[j] for j in bit_indices(mask)), ri) < 1:
             return False
     budget = instance.total_profit() - instance.target
     return sum((p * v for p, v in zip(instance.profits, r)), ZERO) <= budget
@@ -255,14 +255,6 @@ def is_dual_feasible(instance: Instance, y, lam) -> bool:
     if any(v < 0 for v in y) or lam < 0:
         return False
     for c, mask in zip(instance.costs, instance.col_masks):
-        if sum((y[i] for i in _bits(mask)), ZERO) > c:
+        if sum((y[i] for i in bit_indices(mask)), ZERO) > c:
             return False
     return all(y[i] <= lam * instance.profits[i] for i in range(instance.n))
-
-
-def _bits(mask: int):
-    """Indices of the set bits of a row or column mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -128,10 +128,11 @@ def build_merger_graph(instance: Instance,
 def absolute_benefits(instance: Instance, union_cover: Cover) -> dict[int, Fraction]:
     """Per-set profit of elements only that set covers within the union."""
     table: dict[int, Fraction] = {j: Fraction(0) for j in union_cover.sets}
-    for i in range(instance.n):
-        owners = [j for j in union_cover.sets if instance.rows[i][j]]
-        if len(owners) == 1:
-            table[owners[0]] += instance.profits[i]
+    union_mask = sum(1 << j for j in union_cover.sets)
+    for profit, mask in zip(instance.profits, instance.row_masks):
+        owners = mask & union_mask
+        if owners and not owners & (owners - 1):  # exactly one owner
+            table[owners.bit_length() - 1] += profit
     return table
 
 

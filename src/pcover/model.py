@@ -2,8 +2,12 @@
 
 An instance is an n x m 0/1 element-set incidence matrix together with
 nonnegative rational set costs, element profits, and a coverage target P.
-All objects are immutable after construction; every operation here is a
-pure function of its inputs.
+The matrix is stored once, as one bitmask per row with (n, m) carried
+explicitly: `make_instance` (a matrix) and `checked_instance` (row masks,
+as the parser builds them) are the boundaries, and permutations and
+submatrices map masks in time linear in the number of ones.  All objects
+are immutable after construction; every operation here is a pure function
+of its inputs.
 """
 
 from __future__ import annotations
@@ -18,29 +22,21 @@ from .errors import InputError
 MatrixRows = tuple[tuple[int, ...], ...]
 
 
-def _freeze_matrix(matrix: Sequence[Sequence[int]]) -> MatrixRows:
-    return tuple(tuple(int(v) for v in row) for row in matrix)
+def row_bitmasks(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Per-row bitmask over columns: bit j of mask i set iff matrix[i][j] == 1.
 
-
-def row_bitmasks(rows: MatrixRows) -> tuple[int, ...]:
-    """Per-row bitmask over columns: bit j set iff a[i][j] == 1."""
+    The one converter from a 0/1 matrix to masks; raises InputError on an
+    entry other than 0 or 1.
+    """
     masks = []
-    for row in rows:
+    for i, row in enumerate(matrix):
         mask = 0
         for j, v in enumerate(row):
-            if v:
+            if v == 1:
                 mask |= 1 << j
+            elif v != 0:
+                raise InputError(f"non-binary entry {v} at row {i}, column {j}")
         masks.append(mask)
-    return tuple(masks)
-
-
-def col_bitmasks(rows: MatrixRows, m: int) -> tuple[int, ...]:
-    """Per-column bitmask over rows: bit i set iff a[i][j] == 1."""
-    masks = [0] * m
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                masks[j] |= 1 << i
     return tuple(masks)
 
 
@@ -54,28 +50,59 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def transpose_masks(row_masks: Sequence[int], m: int) -> tuple[int, ...]:
+    """Per-column bitmasks over rows (bit i of mask j set iff bit j of row
+    mask i is), in time linear in the number of ones."""
+    cols = [0] * m
+    for i, mask in enumerate(row_masks):
+        bit = 1 << i
+        for j in bit_indices(mask):
+            cols[j] |= bit
+    return tuple(cols)
+
+
+def _move_bits(mask: int, bits: Sequence[int]) -> int:
+    """Union of `bits[j]` over the set bits j of `mask`; each bits[j] is 0
+    or a bit no other j has, so the union is the sum."""
+    return sum(map(bits.__getitem__, bit_indices(mask)))
+
+
 class Instance:
     """Immutable covering instance.
 
-    Use `make_instance` for validated construction; the bare constructor
+    The matrix is held once, as `row_masks` (bit j of mask i set iff
+    element i belongs to set j); n = len(row_masks) and m = len(costs).
+    `col_masks` is derived from it, and `rows` is a tuple-of-rows view
+    built on first use, for boundaries only.  Use `make_instance` or
+    `checked_instance` for validated construction; the bare constructor
     trusts its arguments (used internally for permutations/reductions).
     """
 
-    __slots__ = ("n", "m", "rows", "costs", "profits", "target",
-                 "row_masks", "col_masks", "_gamma_free", "_element_sets")
+    __slots__ = ("n", "m", "row_masks", "col_masks", "costs", "profits",
+                 "target", "_rows", "_gamma_free", "_element_sets")
 
-    def __init__(self, rows: MatrixRows, costs: tuple[Fraction, ...],
+    def __init__(self, row_masks: tuple[int, ...], costs: tuple[Fraction, ...],
                  profits: tuple[Fraction, ...], target: Fraction):
-        self.rows = rows
-        self.n = len(rows)
+        self.row_masks = row_masks
+        self.n = len(row_masks)
         self.m = len(costs)
         self.costs = costs
         self.profits = profits
         self.target = target
-        self.row_masks = row_bitmasks(rows)
-        self.col_masks = col_bitmasks(rows, self.m)
+        self.col_masks = transpose_masks(row_masks, self.m)
+        self._rows: MatrixRows | None = None
         self._gamma_free: bool | None = None
         self._element_sets: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def rows(self) -> MatrixRows:
+        """The 0/1 matrix as row tuples, built from `row_masks` on first use
+        and then kept; for the decomposition and equitable-coloring checks
+        and for tests, never on the solve path."""
+        if self._rows is None:
+            self._rows = tuple(tuple(mask >> j & 1 for j in range(self.m))
+                               for mask in self.row_masks)
+        return self._rows
 
     def element_sets(self) -> tuple[tuple[int, ...], ...]:
         """Per element, the ascending indices of the sets containing it;
@@ -87,9 +114,6 @@ class Instance:
     def sets_of_element(self, i: int) -> tuple[int, ...]:
         return self.element_sets()[i]
 
-    def elements_of_set(self, j: int) -> tuple[int, ...]:
-        return bit_indices(self.col_masks[j])
-
     def total_profit(self) -> Fraction:
         return sum(self.profits, Fraction(0))
 
@@ -99,18 +123,13 @@ class Instance:
                    Fraction(0))
 
     def profit_of_element_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        while mask:
-            low = mask & -mask
-            total += self.profits[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return sum((self.profits[i] for i in bit_indices(mask)), Fraction(0))
 
     def max_cost(self) -> Fraction:
         return max(self.costs, default=Fraction(0))
 
     def _content(self):
-        return (self.rows, self.costs, self.profits, self.target)
+        return (self.row_masks, self.costs, self.profits, self.target)
 
     def __eq__(self, other):
         return isinstance(other, Instance) and self._content() == other._content()
@@ -124,24 +143,29 @@ class Instance:
 
 def make_instance(matrix: Sequence[Sequence[int]],
                   costs: Sequence, profits: Sequence, target) -> Instance:
-    """Validated construction; rejects any violated invariant.
+    """Validated construction from a 0/1 matrix; rejects any violated invariant.
 
     Errors name the offending index: dimension mismatch, non-binary matrix
     entry, negative cost or profit, and a target outside [0, total profit].
     """
-    rows = _freeze_matrix(matrix)
-    n = len(rows)
-    m = len(rows[0]) if rows else len(costs)
-    for i, row in enumerate(rows):
+    n = len(matrix)
+    m = len(matrix[0]) if n else len(costs)
+    for i, row in enumerate(matrix):
         if len(row) != m:
             raise InputError(f"row {i} has {len(row)} entries, expected {m}")
-        for j, v in enumerate(row):
-            if v not in (0, 1):
-                raise InputError(f"non-binary entry {v} at row {i}, column {j}")
+    row_masks = row_bitmasks(matrix)
     if len(costs) != m:
         raise InputError(f"expected {m} costs, got {len(costs)}")
     if len(profits) != n:
         raise InputError(f"expected {n} profits, got {len(profits)}")
+    return checked_instance(row_masks, costs, profits, target)
+
+
+def checked_instance(row_masks: Sequence[int], costs: Sequence,
+                     profits: Sequence, target) -> Instance:
+    """Validated construction from row bitmasks over len(costs) columns,
+    one profit per mask: rejects a negative cost or profit and a target
+    outside [0, total profit]."""
     cost_t = tuple(as_rational(c) for c in costs)
     profit_t = tuple(as_rational(p) for p in profits)
     for j, c in enumerate(cost_t):
@@ -156,7 +180,7 @@ def make_instance(matrix: Sequence[Sequence[int]],
         raise InputError(f"negative target {target_r}")
     if target_r > total:
         raise InputError(f"infeasible target: {target_r} exceeds total profit {total}")
-    return Instance(rows, cost_t, profit_t, target_r)
+    return Instance(tuple(row_masks), cost_t, profit_t, target_r)
 
 
 @dataclass(frozen=True)
@@ -242,26 +266,34 @@ class PermutationPair:
                 out[self.row_perm[i]][self.col_perm[j]] = v
         return tuple(tuple(r) for r in out)
 
+    def apply_to_masks(self, row_masks: Sequence[int]) -> tuple[int, ...]:
+        """`apply_to_matrix` on row bitmasks, in time linear in the ones."""
+        col_bits = [1 << k for k in self.col_perm]
+        out = [0] * len(row_masks)
+        for i, mask in enumerate(row_masks):
+            out[self.row_perm[i]] = _move_bits(mask, col_bits)
+        return tuple(out)
+
 
 def permute_instance(instance: Instance, perm: PermutationPair) -> Instance:
     """Reorder rows and columns; costs and profits follow their indices."""
-    rows = perm.apply_to_matrix(instance.rows)
-    costs = [Fraction(0)] * instance.m
-    profits = [Fraction(0)] * instance.n
-    for j, c in enumerate(instance.costs):
-        costs[perm.col_perm[j]] = c
-    for i, p in enumerate(instance.profits):
-        profits[perm.row_perm[i]] = p
-    return Instance(rows, tuple(costs), tuple(profits), instance.target)
+    back = perm.inverse()
+    return Instance(perm.apply_to_masks(instance.row_masks),
+                    tuple(instance.costs[j] for j in back.col_perm),
+                    tuple(instance.profits[i] for i in back.row_perm),
+                    instance.target)
 
 
 def sub_instance(instance: Instance, keep_rows: Sequence[int],
                  keep_cols: Sequence[int], target) -> Instance:
     """Row/column submatrix with a fresh target; indices keep their order."""
-    rows = tuple(tuple(instance.rows[i][j] for j in keep_cols) for i in keep_rows)
+    col_bits = [0] * instance.m
+    for k, j in enumerate(keep_cols):
+        col_bits[j] = 1 << k
+    masks = tuple(_move_bits(instance.row_masks[i], col_bits) for i in keep_rows)
     costs = tuple(instance.costs[j] for j in keep_cols)
     profits = tuple(instance.profits[i] for i in keep_rows)
-    return Instance(rows, costs, profits, as_rational(target))
+    return Instance(masks, costs, profits, as_rational(target))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from .lp import (dual_value, is_dual_feasible, is_primal_feasible,
 from .merger import (MergerGraph, audit_merge_bound, build_merger_graph,
                      merge)
 from .model import (Cover, Decomposition, Instance, PermutationPair,
-                    cover_cost, covered_profit, permute_instance, sub_instance)
+                    cover_cost, covered_profit, permute_instance, row_bitmasks,
+                    sub_instance)
 from .tb import standard_greedy_form
 from .threshold import ThresholdResult, find_threshold, kolen_call_budget
 
@@ -44,7 +45,7 @@ def to_greedy_form(instance: Instance):
     gamma-free is returned as it is, with the identity permutation.  Raises
     InputError when the matrix is not totally balanced.
     """
-    sgf = standard_greedy_form(instance.rows)
+    sgf = standard_greedy_form(instance.row_masks, instance.m)
     if not sgf.ok:
         raise InputError("matrix is not totally balanced: no greedy standard "
                          f"form exists (gamma pattern at {sgf.witness})")
@@ -257,9 +258,9 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
         if pick is None:
             raise InternalInvariantError(
                 f"no decomposition part reaches the 1/{rho} share at element {i}")
-        b_rows.append(tuple(decomposition.parts[pick][i]))
+        b_rows.append(decomposition.parts[pick][i])
 
-    reduced = Instance(tuple(b_rows), instance.costs, instance.profits,
+    reduced = Instance(row_bitmasks(b_rows), instance.costs, instance.profits,
                        instance.target)
     report = solve_partial_tbc(reduced)
 
@@ -270,7 +271,7 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
         (1 + Fraction(1, 3 ** (k - 1))) * rho * primal.value
         + k * instance.max_cost())
     single_block = _single_blocks(reduced)
-    if single_block and reduced.rows == instance.rows:
+    if single_block and reduced.row_masks == instance.row_masks:
         audits["single_block_bound"] = report.cost <= primal.value + instance.max_cost()
 
     ratio = None

@@ -12,6 +12,10 @@ so that no ordered pair of rows i1 < i2 and columns j1 < j2 induces the
 An ordering with this property is called greedy standard form here, and a
 matrix already free of the pattern is called gamma-free.
 
+Every function here reads the matrix as its row bitmasks (bit j of mask i
+is a[i][j], as in `Instance.row_masks`) and, where the column count
+matters, m; `model.row_bitmasks` converts a 0/1 matrix.
+
 The reorder rests on one theorem: a matrix is totally balanced if and only
 if its doubly lexical ordering is gamma-free (Hoffman, Kolen & Sakarovitch,
 "Totally-balanced and greedy matrices", 1985; Lubiw, "Doubly lexical
@@ -45,8 +49,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import check_guard
-from .model import (MatrixRows, PermutationPair, _freeze_matrix, bit_indices,
-                    col_bitmasks, row_bitmasks)
+from .model import PermutationPair, bit_indices, transpose_masks
 
 TB_CHECK_LIMIT = 12
 
@@ -67,18 +70,13 @@ class GammaWitness:
         return f"rows {list(self.rows)}, columns {list(self.cols)}"
 
 
-def gamma_witness(matrix) -> GammaWitness | None:
+def gamma_witness(row_masks) -> GammaWitness | None:
     """First (lexicographically smallest) occurrence of the pattern, if any."""
-    return _gamma_witness(row_bitmasks(_freeze_matrix(matrix)))
-
-
-def _gamma_witness(masks) -> GammaWitness | None:
-    """`gamma_witness` over the row bitmasks of the matrix."""
-    n = len(masks)
+    n = len(row_masks)
     for i1 in range(n):
         for i2 in range(i1 + 1, n):
-            common = masks[i1] & masks[i2]
-            only_upper = masks[i1] & ~masks[i2]
+            common = row_masks[i1] & row_masks[i2]
+            only_upper = row_masks[i1] & ~row_masks[i2]
             if not common or not only_upper:
                 continue
             j1 = (common & -common).bit_length() - 1
@@ -89,24 +87,21 @@ def _gamma_witness(masks) -> GammaWitness | None:
     return None
 
 
-def is_gamma_free(matrix) -> bool:
-    return gamma_witness(matrix) is None
+def is_gamma_free(row_masks) -> bool:
+    return gamma_witness(row_masks) is None
 
 
-def is_totally_balanced(matrix, limit: int = TB_CHECK_LIMIT) -> bool:
+def is_totally_balanced(row_masks, m: int, limit: int = TB_CHECK_LIMIT) -> bool:
     """Definitional check by direct submatrix search.
 
     Searches all square submatrices of order >= 3 for one with every row
     and column sum equal to 2 and pairwise distinct columns.  Exponential;
     guarded to dimensions <= `limit` and meant as a desk-scale oracle.
     """
-    rows = _freeze_matrix(matrix)
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
+    n = len(row_masks)
     check_guard(n <= limit and m <= limit,
                 f"totally-balanced check limited to {limit}x{limit}, got {n}x{m}")
-    row_masks = row_bitmasks(rows)
-    col_masks = col_bitmasks(rows, m)
+    col_masks = transpose_masks(row_masks, m)
     for k in range(3, min(n, m) + 1):
         for row_subset in combinations(range(n), k):
             rmask = 0
@@ -132,15 +127,14 @@ def is_totally_balanced(matrix, limit: int = TB_CHECK_LIMIT) -> bool:
 class SgfResult:
     """Outcome of the greedy-standard-form search.
 
-    On success `perm` maps original to permuted indices and `matrix` is the
-    permuted (gamma-free) matrix.  On failure `witness` is a forbidden
+    On success `perm` maps original to permuted indices, and the matrix
+    permuted by it is gamma-free.  On failure `witness` is a forbidden
     pattern that survived the doubly lexical ordering, in original row and
     column indices; it proves that the matrix is not totally balanced.
     """
 
     ok: bool
     perm: PermutationPair | None = None
-    matrix: MatrixRows | None = None
     mode: str = ""
     witness: GammaWitness | None = None
 
@@ -157,20 +151,13 @@ def _sorted_by_bits(order: list[int], support, other_order: list[int]) -> list[i
     return sorted(order, key=key.__getitem__)
 
 
-def doubly_lexical_order(matrix) -> tuple[list[int], list[int]]:
+def doubly_lexical_order(row_masks, m: int) -> tuple[list[int], list[int]]:
     """Row and column orders (new position -> original index) under which
     both rows and columns ascend; see the module docstring for why the
     alternating sorts terminate."""
-    rows = _freeze_matrix(matrix)
-    m = len(rows[0]) if rows else 0
-    return _doubly_lexical_order(row_bitmasks(rows), col_bitmasks(rows, m))
-
-
-def _doubly_lexical_order(row_masks, col_masks) -> tuple[list[int], list[int]]:
-    """`doubly_lexical_order` over the row and column bitmasks."""
     cols_of = [bit_indices(mask) for mask in row_masks]
-    rows_of = [bit_indices(mask) for mask in col_masks]
-    row_order, col_order = list(range(len(row_masks))), list(range(len(col_masks)))
+    rows_of = [bit_indices(mask) for mask in transpose_masks(row_masks, m)]
+    row_order, col_order = list(range(len(row_masks))), list(range(m))
     while True:
         row_order = _sorted_by_bits(row_order, cols_of, col_order)
         new_cols = _sorted_by_bits(col_order, rows_of, row_order)
@@ -179,43 +166,23 @@ def _doubly_lexical_order(row_masks, col_masks) -> tuple[list[int], list[int]]:
         col_order = new_cols
 
 
-def _perm_from_orders(row_order, col_order) -> PermutationPair:
-    n, m = len(row_order), len(col_order)
-    row_perm = [0] * n
-    col_perm = [0] * m
-    for pos, i in enumerate(row_order):
-        row_perm[i] = pos
-    for pos, j in enumerate(col_order):
-        col_perm[j] = pos
-    return PermutationPair(tuple(row_perm), tuple(col_perm))
-
-
-def standard_greedy_form(matrix) -> SgfResult:
-    """Reorder into greedy standard form, or prove that none exists.
+def standard_greedy_form(row_masks, m: int) -> SgfResult:
+    """Reorder the matrix with these row bitmasks over m columns into
+    greedy standard form, or prove that none exists.
 
     Deterministic: a gamma-free matrix keeps the identity ordering;
     otherwise the doubly lexical ordering is certified with
     `gamma_witness`, and a surviving pattern is returned as the witness.
     """
-    rows = _freeze_matrix(matrix)
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    row_masks = row_bitmasks(rows)
+    if gamma_witness(row_masks) is None:
+        return SgfResult(True, PermutationPair.identity(len(row_masks), m),
+                         "identity")
 
-    if _gamma_witness(row_masks) is None:
-        return SgfResult(True, PermutationPair.identity(n, m), rows, "identity")
-
-    row_order, col_order = _doubly_lexical_order(row_masks, col_bitmasks(rows, m))
-    perm = _perm_from_orders(row_order, col_order)
-    permuted_masks = []
-    for i in row_order:
-        mask = 0
-        for j in bit_indices(row_masks[i]):
-            mask |= 1 << perm.col_perm[j]
-        permuted_masks.append(mask)
-    found = _gamma_witness(permuted_masks)
+    row_order, col_order = doubly_lexical_order(row_masks, m)
+    perm = PermutationPair(tuple(row_order), tuple(col_order)).inverse()
+    found = gamma_witness(perm.apply_to_masks(row_masks))
     if found is None:
-        return SgfResult(True, perm, perm.apply_to_matrix(rows), "doubly-lexical")
+        return SgfResult(True, perm, "doubly-lexical")
     witness = GammaWitness(tuple(row_order[i] for i in found.rows),
                            tuple(col_order[j] for j in found.cols))
     return SgfResult(False, mode="doubly-lexical", witness=witness)

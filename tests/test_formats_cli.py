@@ -231,6 +231,19 @@ def test_cli_verify_sgf_fails_on_odd_cycle(workdir):
     assert "no greedy standard form" in out.stdout
 
 
+@pytest.mark.parametrize("text, perms", [
+    ("PCOV 1\n0 2\n0\n1 2\n", "row_perm=[] col_perm=[0, 1]"),
+    ("PCOV 1\n2 0\n0\n1 1\n", "row_perm=[0, 1] col_perm=[]"),
+])
+def test_cli_verify_sgf_empty_dimension(workdir, text, perms):
+    # The column count comes from the header, not from a first row.
+    (workdir / "empty.pcov").write_text(text)
+    out = run_cli("verify", "sgf", "--input", str(workdir / "empty.pcov"),
+                  cwd=workdir)
+    assert out.returncode == 0, (out.stdout, out.stderr)
+    assert perms in out.stdout
+
+
 def test_cli_experiment_blackbox(workdir):
     out = run_cli("experiment", "blackbox", "--q", "3", "--alpha", "1", "--tu",
                   "--output", str(workdir / "bb.json"), cwd=workdir)

@@ -11,7 +11,8 @@ from pcover.generators import (TreeInstance, gen_blackbox_family,
                                gen_random_tree_instance, reduce_multicut,
                                reduce_path_hitting, reduce_rectangle_stabbing)
 from pcover.lp import dual_value, is_dual_feasible
-from pcover.model import Cover, cover_cost, covered_profit
+from pcover.model import (Cover, bit_indices, cover_cost, covered_profit,
+                          row_bitmasks)
 from pcover.tb import is_gamma_free, is_totally_balanced, standard_greedy_form
 
 
@@ -71,8 +72,8 @@ def test_gap_family_fractional_combination_value():
 
 def test_gap_family_is_totally_balanced_at_oracle_size():
     fam = gen_gap_family(1)
-    assert is_totally_balanced(fam.instance.rows)
-    assert standard_greedy_form(fam.instance.rows).ok
+    assert is_totally_balanced(fam.instance.row_masks, fam.instance.m)
+    assert standard_greedy_form(fam.instance.row_masks, fam.instance.m).ok
 
 
 def test_blackbox_family_general_shape():
@@ -85,9 +86,9 @@ def test_blackbox_family_general_shape():
     assert inst.costs[fam.a_cols[0]] == F(2, 3)
     assert inst.costs[fam.b_cols[0]] == F(4, 3)
     # set sizes q^2+1, q^2, q^2+2
-    assert len(inst.elements_of_set(fam.o_cols[0])) == 5
-    assert len(inst.elements_of_set(fam.a_cols[0])) == 4
-    assert len(inst.elements_of_set(fam.b_cols[0])) == 6
+    assert len(bit_indices(inst.col_masks[fam.o_cols[0]])) == 5
+    assert len(bit_indices(inst.col_masks[fam.a_cols[0]])) == 4
+    assert len(bit_indices(inst.col_masks[fam.b_cols[0]])) == 6
 
 
 def test_blackbox_family_tu_costs():
@@ -97,8 +98,8 @@ def test_blackbox_family_tu_costs():
     assert inst.costs[fam.a_cols[0]] == F(2, 3)
     assert inst.costs[fam.b_cols[0]] == F(4, 3)
     # tu O-sets are the B-sets minus their right extra
-    o_members = set(inst.elements_of_set(fam.o_cols[0]))
-    b_members = set(inst.elements_of_set(fam.b_cols[0]))
+    o_members = set(bit_indices(inst.col_masks[fam.o_cols[0]]))
+    b_members = set(bit_indices(inst.col_masks[fam.b_cols[0]]))
     assert o_members < b_members and len(b_members - o_members) == 1
 
 
@@ -131,8 +132,8 @@ def test_random_descending_paths_deterministic():
 def test_random_descending_paths_totally_balanced():
     for seed in range(20):
         inst, dec = gen_random_descending_paths(seed, 9, 6, 6)
-        assert is_totally_balanced(inst.rows)
-        assert standard_greedy_form(inst.rows).ok
+        assert is_totally_balanced(inst.row_masks, inst.m)
+        assert standard_greedy_form(inst.row_masks, inst.m).ok
         assert dec.rho == 1
         dec.validate_against(inst.rows)
 
@@ -185,7 +186,7 @@ def test_reduce_multicut_row_induced_parts_totally_balanced():
         # row-induced samples from the parts stay totally balanced
         for _ in range(4):
             rows = tuple(dec.parts[rng.below(2)][i] for i in range(inst.n))
-            assert is_totally_balanced(rows)
+            assert is_totally_balanced(row_bitmasks(rows), inst.m)
 
 
 def test_reduce_path_hitting_cost_inheritance():
@@ -207,7 +208,7 @@ def test_reduce_path_hitting_random_instances_are_separable():
         inst, dec, _ = reduce_path_hitting(tree, cover_paths, demand_paths)
         dec.validate_against(inst.rows)
         for part in dec.parts:
-            assert is_totally_balanced(part) or inst.n > 12
+            assert is_totally_balanced(row_bitmasks(part), inst.m) or inst.n > 12
 
 
 def test_reduce_path_hitting_default_target_is_coverable():
@@ -229,8 +230,8 @@ def test_reduce_rectangles_1d_interval_matrix():
     inst, dec, path_flag = reduce_rectangle_stabbing(rect)
     assert path_flag
     assert dec.rho == 1
-    assert is_gamma_free(inst.rows)
-    assert is_totally_balanced(inst.rows) or inst.n > 12
+    assert is_gamma_free(inst.row_masks)
+    assert is_totally_balanced(inst.row_masks, inst.m) or inst.n > 12
 
 
 def test_reduce_rectangles_2d_two_blocks():

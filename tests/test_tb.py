@@ -6,10 +6,19 @@ import pytest
 
 from pcover.errors import GUARD_ENV, SizeGuardError
 from pcover.generators import gen_random_descending_paths
+from pcover.model import make_instance, permute_instance, row_bitmasks
 from pcover.tb import (GammaWitness, gamma_witness, is_gamma_free,
                        is_totally_balanced, standard_greedy_form)
 
 ODD_CYCLE = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+
+
+def reordered(rows):
+    """`standard_greedy_form` of a 0/1 matrix, and the instance over it
+    permuted by the form's permutation (None when there is no form)."""
+    inst = make_instance(rows, [0] * len(rows[0]), [0] * len(rows), 0)
+    sgf = standard_greedy_form(row_bitmasks(rows), len(rows[0]))
+    return sgf, permute_instance(inst, sgf.perm) if sgf.ok else None
 
 
 def brute_force_gamma_free_ordering_exists(rows):
@@ -18,75 +27,77 @@ def brute_force_gamma_free_ordering_exists(rows):
     for rp in permutations(range(n)):
         for cp in permutations(range(m)):
             permuted = [[rows[i][j] for j in cp] for i in rp]
-            if is_gamma_free(permuted):
+            if is_gamma_free(row_bitmasks(permuted)):
                 return True
     return False
 
 
 def test_gamma_identity_matrix():
-    assert is_gamma_free([[1, 0], [0, 1]])
-    assert is_gamma_free([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert is_gamma_free(row_bitmasks([[1, 0], [0, 1]]))
+    assert is_gamma_free(row_bitmasks([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_gamma_witness_on_forbidden_pattern():
-    w = gamma_witness([[1, 1], [1, 0]])
+    w = gamma_witness(row_bitmasks([[1, 1], [1, 0]]))
     assert w == GammaWitness((0, 1), (0, 1))
 
 
 def test_gamma_free_mirrored_pattern():
-    assert is_gamma_free([[1, 1], [0, 1]])
+    assert is_gamma_free(row_bitmasks([[1, 1], [0, 1]]))
 
 
 def test_interval_matrices_are_totally_balanced():
-    assert is_totally_balanced([[1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0]])
+    assert is_totally_balanced(
+        row_bitmasks([[1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0]]), 4)
 
 
 def test_odd_cycle_not_totally_balanced():
-    assert not is_totally_balanced(ODD_CYCLE)
+    assert not is_totally_balanced(row_bitmasks(ODD_CYCLE), 3)
 
 
 def test_single_entry_matrix():
-    assert is_totally_balanced([[1]])
+    assert is_totally_balanced(row_bitmasks([[1]]), 1)
 
 
 def test_tb_check_size_guard(monkeypatch):
     monkeypatch.delenv(GUARD_ENV, raising=False)
     big = [[0] * 13 for _ in range(13)]
     with pytest.raises(SizeGuardError):
-        is_totally_balanced(big)
+        is_totally_balanced(row_bitmasks(big), 13)
 
 
 def test_guard_override_env(monkeypatch):
     monkeypatch.setenv(GUARD_ENV, "1")
     big = [[0] * 13 for _ in range(13)]
-    assert is_totally_balanced(big)  # all-zero matrix, trivially balanced
+    assert is_totally_balanced(row_bitmasks(big), 13)  # all-zero matrix, trivially balanced
 
 
 def test_sgf_on_already_gamma_free():
-    sgf = standard_greedy_form([[1, 0], [0, 1]])
+    sgf, permuted = reordered([[1, 0], [0, 1]])
     assert sgf.ok and sgf.mode == "identity"
-    assert sgf.matrix == ((1, 0), (0, 1))
+    assert permuted.rows == ((1, 0), (0, 1))
 
 
 def test_sgf_on_forbidden_pattern():
-    sgf = standard_greedy_form([[1, 1], [1, 0]])
+    sgf, permuted = reordered([[1, 1], [1, 0]])
     assert sgf.ok
-    assert is_gamma_free(sgf.matrix)
+    assert is_gamma_free(permuted.row_masks)
     # cross-check against the exhaustive-ordering oracle
     assert brute_force_gamma_free_ordering_exists([[1, 1], [1, 0]])
 
 
 def test_sgf_fails_on_odd_cycle():
-    sgf = standard_greedy_form(ODD_CYCLE)
+    sgf, _ = reordered(ODD_CYCLE)
     assert not sgf.ok
     assert not brute_force_gamma_free_ordering_exists(ODD_CYCLE)
 
 
 def test_sgf_matches_permutation():
     rows = ((1, 1, 0), (1, 0, 1), (0, 0, 1))
-    sgf = standard_greedy_form(rows)
+    sgf, permuted = reordered(rows)
     assert sgf.ok
-    assert sgf.perm.apply_to_matrix(rows) == sgf.matrix
+    assert is_gamma_free(permuted.row_masks)
+    assert sgf.perm.apply_to_matrix(rows) == permuted.rows
 
 
 def test_exhaustive_3x3_cross_validation():
@@ -95,23 +106,23 @@ def test_exhaustive_3x3_cross_validation():
     for bits in range(1 << 9):
         rows = tuple(tuple((bits >> (3 * i + j)) & 1 for j in range(3))
                      for i in range(3))
-        sgf = standard_greedy_form(rows)
-        tb = is_totally_balanced(rows)
+        sgf, permuted = reordered(rows)
+        tb = is_totally_balanced(row_bitmasks(rows), 3)
         assert sgf.ok == tb, rows
         if sgf.ok:
-            assert is_gamma_free(sgf.matrix)
+            assert is_gamma_free(permuted.row_masks)
 
 
 def test_sgf_on_random_descending_path_matrices():
     for seed in range(25):
         inst, _ = gen_random_descending_paths(seed, 8, 6, 6)
-        sgf = standard_greedy_form(inst.rows)
+        sgf = standard_greedy_form(inst.row_masks, inst.m)
         assert sgf.ok
-        assert is_gamma_free(sgf.matrix)
-        assert is_totally_balanced(inst.rows)
+        assert is_gamma_free(permute_instance(inst, sgf.perm).row_masks)
+        assert is_totally_balanced(inst.row_masks, inst.m)
 
 
 def test_wide_matrix_uses_transposed_fallback_consistently():
     rows = [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]]
-    sgf = standard_greedy_form(rows)
-    assert sgf.ok and is_gamma_free(sgf.matrix)
+    sgf, permuted = reordered(rows)
+    assert sgf.ok and is_gamma_free(permuted.row_masks)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from pcover.generators import (corpus_instance, gen_gap_family,
                                gen_random_descending_paths)
-from pcover.model import PermutationPair, covered_profit, permute_instance
+from pcover.model import (PermutationPair, covered_profit, make_instance,
+                          permute_instance, row_bitmasks)
 from pcover.pipeline import solve_partial_tbc
 from pcover.tb import is_gamma_free, is_totally_balanced, standard_greedy_form
 
@@ -34,10 +35,11 @@ def shuffled_tb_instances(draw):
 @given(shuffled_tb_instances())
 def test_shuffled_tb_instances_reorder_and_solve(pair):
     base, inst = pair
-    sgf = standard_greedy_form(inst.rows)
+    sgf = standard_greedy_form(inst.row_masks, inst.m)
     assert sgf.ok
-    assert is_gamma_free(sgf.matrix)
-    assert sgf.perm.apply_to_matrix(inst.rows) == sgf.matrix
+    permuted = permute_instance(inst, sgf.perm)
+    assert is_gamma_free(permuted.row_masks)
+    assert sgf.perm.apply_to_matrix(inst.rows) == permuted.rows
     report = solve_partial_tbc(inst)
     assert covered_profit(inst, report.cover) >= inst.target
     assert report.dl_value == solve_partial_tbc(base).dl_value
@@ -52,10 +54,12 @@ def _matrices(max_dim):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_matrices(7))
 def test_reorder_agrees_with_definition(rows):
-    sgf = standard_greedy_form(rows)
-    assert sgf.ok == is_totally_balanced(rows)
+    masks, m = row_bitmasks(rows), len(rows[0])
+    sgf = standard_greedy_form(masks, m)
+    assert sgf.ok == is_totally_balanced(masks, m)
     if sgf.ok:
-        assert is_gamma_free(sgf.matrix)
+        inst = make_instance(rows, [0] * m, [0] * len(rows), 0)
+        assert is_gamma_free(permute_instance(inst, sgf.perm).row_masks)
 
 
 @st.composite
@@ -81,7 +85,7 @@ def matrices_with_cycle(draw):
 @PROPERTY
 @given(matrices_with_cycle())
 def test_non_tb_witness_indexes_gamma_in_original(rows):
-    sgf = standard_greedy_form(rows)
+    sgf = standard_greedy_form(row_bitmasks(rows), len(rows[0]))
     assert not sgf.ok
     (i1, i2), (j1, j2) = sgf.witness.rows, sgf.witness.cols
     assert [[rows[i1][j1], rows[i1][j2]], [rows[i2][j1], rows[i2][j2]]] == [[1, 1], [1, 0]]

@@ -135,8 +135,7 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational) -> _PackedDual:
     a, b = lam.value.numerator, lam.value.denominator
     d_num, d_den = lam.delta.numerator, lam.delta.denominator
     l_c = lcm(*(c.denominator for c in instance.costs))
-    l_p = lcm(*(p.denominator for p in instance.profits))
-    profits = [p.numerator * (l_p // p.denominator) for p in instance.profits]
+    l_p, profits = instance.scaled_profits()
     base = 2 * abs(d_num) * sum(profits) * max(instance.n, 1) + 1
     cap_unit = a * l_c * base + d_num  # lambda * p_i packs as cap_unit * P_i
     cost_unit = l_p * b * base

@@ -11,18 +11,23 @@ one extra set but shrinking the coverage offset at least threefold.
 Every structural fact the analysis relies on is asserted at runtime:
 graph shape, alternating edge occupancy, entry preconditions, the
 coverage-change identity at each subtree flip, and the factor-3 offset
-decay at multi-child splits.  The final cost bound is re-checked by
-`audit_merge_bound`.
+decay at multi-child splits.  The recursion compares exact ints, the
+profits, target and benefits scaled by L (the lcm of the profit
+denominators and the target's denominator); its trace and messages are
+Fractions in original units.  `merge` checks its entry and its result
+with `covered_profit` on Fractions, and the final cost bound is
+re-checked by `audit_merge_bound`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, InternalInvariantError
 from .kolen import DualSolution
-from .model import Cover, Instance, cover_cost, covered_profit
+from .model import Cover, Instance, bit_indices, cover_cost, covered_profit
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,15 @@ class MergerGraph:
         return self.subtrees[j]
 
 
-def _dominates(instance: Instance, pos_mask: int, j1: int, j2: int) -> bool:
-    return j1 > j2 and bool(instance.col_masks[j1] & instance.col_masks[j2] & pos_mask)
-
-
 def build_merger_graph(instance: Instance,
                        pruned_minus: Cover, pruned: Cover,
                        dual_minus: DualSolution, dual: DualSolution) -> MergerGraph:
     """Construct and validate the merger graph of the two pruned covers.
+
+    Set j1 dominates j2 when j1 > j2, they lie on opposite sides, and they
+    share an element of positive dual in the run of j1's side.  Each
+    vertex's dominators are read off one OR of the row masks of its
+    positive-dual elements, so the build takes O(nnz) mask operations.
 
     Fails loudly (InternalInvariantError) on in-degree two or a cycle;
     either would contradict the forest guarantee and signals an upstream
@@ -65,27 +71,33 @@ def build_merger_graph(instance: Instance,
     plus_only = frozenset(plus_set - minus_set)
     vertices = tuple(sorted(minus_only | plus_only))
 
+    minus_mask = sum(1 << j for j in minus_only)
+    plus_mask = sum(1 << j for j in plus_only)
     pos_minus = dual_minus.positive_y_mask()
     pos_plus = dual.positive_y_mask()
 
     edges = []
     parent: dict[int, int] = {}
-    for j1 in vertices:
-        for j2 in vertices:
-            if j1 == j2:
-                continue
-            if j1 in minus_only and j2 in plus_only:
-                hit = _dominates(instance, pos_minus, j1, j2)
-            elif j1 in plus_only and j2 in minus_only:
-                hit = _dominates(instance, pos_plus, j1, j2)
-            else:
-                continue
-            if hit:
-                if j2 in parent:
-                    raise InternalInvariantError(
-                        f"vertex {j2} has two dominators: {parent[j2]} and {j1}")
-                parent[j2] = j1
-                edges.append((j1, j2))
+    conflicts = []
+    for j2 in vertices:
+        if j2 in plus_only:
+            side, pos = minus_mask, pos_minus
+        else:
+            side, pos = plus_mask, pos_plus
+        sets = 0
+        for i in bit_indices(instance.col_masks[j2] & pos):
+            sets |= instance.row_masks[i]
+        dominators = bit_indices(sets & side & -1 << (j2 + 1))  # above j2
+        if len(dominators) > 1:
+            conflicts.append((dominators[1], j2, dominators[0]))
+        elif dominators:
+            parent[j2] = dominators[0]
+            edges.append((dominators[0], j2))
+    if conflicts:
+        # The conflict an ascending scan over (dominator, vertex) meets first.
+        second, j2, first = min(conflicts)
+        raise InternalInvariantError(
+            f"vertex {j2} has two dominators: {first} and {second}")
 
     for j1, j2 in edges:
         if j1 <= j2:
@@ -136,12 +148,10 @@ def absolute_benefits(instance: Instance, union_cover: Cover) -> dict[int, Fract
     return table
 
 
-def relative_benefit(graph: MergerGraph, j: int, D, benefits) -> Fraction:
-    """Signed coverage change of flipping the subtree at j against D."""
-    total = Fraction(0)
-    for v in graph.subtree(j):
-        total += -benefits[v] if v in D else benefits[v]
-    return total
+def relative_benefit(graph: MergerGraph, j: int, D, benefits):
+    """Signed coverage change of flipping the subtree at j against D, in
+    the units of `benefits`."""
+    return sum(-benefits[v] if v in D else benefits[v] for v in graph.subtree(j))
 
 
 @dataclass(frozen=True)
@@ -174,8 +184,21 @@ class MergeTrace:
     final: Cover | None = None
 
 
+def _scaled(value: Fraction, scale: int, name: str) -> int:
+    scaled = value * scale
+    if scaled.denominator != 1:
+        raise InternalInvariantError(f"{name} {value} is not a multiple of 1/{scale}")
+    return scaled.numerator
+
+
 class MergeContext:
     """Shared state for one combining run: graph, instance, target, benefits.
+
+    The recursion runs on ints: profits, the target and the benefits are
+    scaled by L, the lcm of the profit denominators and the target's
+    denominator, so int equality and order are exactly those of the
+    Fractions.  Every value that leaves the context (trace records and
+    error messages) is a Fraction in original units.
 
     `increase` and `decrease` mutate nothing outside the trace; covers are
     passed and returned as frozensets of set indices.
@@ -185,17 +208,32 @@ class MergeContext:
                  benefits: dict[int, Fraction]):
         self.graph = graph
         self.instance = instance
-        self.target = target
-        self.benefits = benefits
+        l_p, profits = instance.scaled_profits()
+        self.scale = lcm(l_p, target.denominator)
+        factor = self.scale // l_p
+        self.profits = [p * factor for p in profits]
+        self.target = _scaled(target, self.scale, "target")
+        self.benefits = {j: _scaled(b, self.scale, f"benefit of set {j}")
+                         for j, b in benefits.items()}
         self.trace = MergeTrace(target=target)
+        self._coverage: dict[int, int] = {}
 
-    def coverage(self, D) -> Fraction:
-        return covered_profit(self.instance, Cover.of(D))
+    def unscaled(self, value: int) -> Fraction:
+        return Fraction(value, self.scale)
+
+    def coverage(self, D) -> int:
+        """Scaled profit covered by D, summed once per distinct element mask."""
+        mask = 0
+        for j in D:
+            mask |= self.instance.col_masks[j]
+        if mask not in self._coverage:
+            self._coverage[mask] = sum(map(self.profits.__getitem__, bit_indices(mask)))
+        return self._coverage[mask]
 
     def cost(self, D) -> Fraction:
         return cover_cost(self.instance, Cover.of(D))
 
-    def benefit(self, j: int, D) -> Fraction:
+    def benefit(self, j: int, D) -> int:
         return relative_benefit(self.graph, j, D, self.benefits)
 
     def flip(self, D: frozenset[int], j: int) -> frozenset[int]:
@@ -205,8 +243,8 @@ class MergeContext:
         expected = self.benefit(j, D)
         if gain != expected:
             raise InternalInvariantError(
-                f"coverage change {gain} of subtree {j} disagrees with "
-                f"relative benefit {expected}")
+                f"coverage change {self.unscaled(gain)} of subtree {j} disagrees "
+                f"with relative benefit {self.unscaled(expected)}")
         return after
 
     def check_alternating(self, D: frozenset[int]) -> None:
@@ -225,14 +263,24 @@ class MergeContext:
             return first if ca < cb else second
         return first if tuple(sorted(first)) <= tuple(sorted(second)) else second
 
-    def increase(self, j: int, D: frozenset[int]) -> frozenset[int]:
-        P = self.target
+    def _enter(self, kind: str, j: int, D: frozenset[int]) -> tuple[int, int]:
+        """Record the call and return (p(D), benefit of j against D)."""
         pD = self.coverage(D)
         b = self.benefit(j, D)
-        self.trace.calls.append(CallRecord("increase", j, pD, b))
+        self.trace.calls.append(
+            CallRecord(kind, j, self.unscaled(pD), self.unscaled(b)))
+        return pD, b
+
+    def _precondition_broken(self, kind: str, j: int, pD: int, b: int):
+        return InternalInvariantError(
+            f"{kind}({j}) precondition broken: p(D)={self.unscaled(pD)}, "
+            f"benefit={self.unscaled(b)}, P={self.unscaled(self.target)}")
+
+    def increase(self, j: int, D: frozenset[int]) -> frozenset[int]:
+        P = self.target
+        pD, b = self._enter("increase", j, D)
         if not (pD <= P < pD + b):
-            raise InternalInvariantError(
-                f"increase({j}) precondition broken: p(D)={pD}, benefit={b}, P={P}")
+            raise self._precondition_broken("increase", j, pD, b)
         self.check_alternating(D)
 
         with_j = D | {j}
@@ -270,12 +318,9 @@ class MergeContext:
 
     def decrease(self, j: int, D: frozenset[int]) -> frozenset[int]:
         P = self.target
-        pD = self.coverage(D)
-        b = self.benefit(j, D)
-        self.trace.calls.append(CallRecord("decrease", j, pD, b))
+        pD, b = self._enter("decrease", j, D)
         if not (pD >= P > pD + b):
-            raise InternalInvariantError(
-                f"decrease({j}) precondition broken: p(D)={pD}, benefit={b}, P={P}")
+            raise self._precondition_broken("decrease", j, pD, b)
         self.check_alternating(D)
 
         flipped_plus_j = (D ^ self.graph.subtree(j)) | {j}
@@ -312,16 +357,17 @@ class MergeContext:
         return self.pick_cheaper(feasible, other)
 
     def _record_split(self, kind: str, j: int, processed: int,
-                      entry_offset: Fraction, infeasible, feasible) -> None:
+                      entry_offset: int, infeasible, feasible) -> None:
         self.trace.split_vertices.append(j)
         off_in = abs(self.coverage(infeasible) - self.target)
         off_fe = abs(self.coverage(feasible) - self.target)
-        record = SplitRecord(j, processed, entry_offset, off_in, off_fe)
+        record = SplitRecord(j, processed, self.unscaled(entry_offset),
+                             self.unscaled(off_in), self.unscaled(off_fe))
         self.trace.splits.append(record)
         if processed >= 2 and entry_offset < 3 * min(off_in, off_fe):
             raise InternalInvariantError(
                 f"multi-child split at {j} shrank the offset only from "
-                f"{entry_offset} to {min(off_in, off_fe)}")
+                f"{self.unscaled(entry_offset)} to {self.unscaled(min(off_in, off_fe))}")
 
 
 def increase(j: int, D, context: MergeContext) -> Cover:
@@ -363,7 +409,7 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
     ordered_roots = sorted(graph.roots, key=lambda r: min(graph.subtree(r)))
     for r in ordered_roots:
         flipped = run.flip(D, r)
-        if covered_profit(instance, Cover.of(flipped)) <= P:
+        if run.coverage(flipped) <= run.target:
             D = flipped
             trace.root_flips += 1
         else:

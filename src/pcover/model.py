@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .arith import as_rational
@@ -79,7 +80,8 @@ class Instance:
     """
 
     __slots__ = ("n", "m", "row_masks", "col_masks", "costs", "profits",
-                 "target", "_rows", "_gamma_free", "_element_sets")
+                 "target", "_rows", "_gamma_free", "_element_sets",
+                 "_scaled_profits")
 
     def __init__(self, row_masks: tuple[int, ...], costs: tuple[Fraction, ...],
                  profits: tuple[Fraction, ...], target: Fraction):
@@ -93,6 +95,7 @@ class Instance:
         self._rows: MatrixRows | None = None
         self._gamma_free: bool | None = None
         self._element_sets: tuple[tuple[int, ...], ...] | None = None
+        self._scaled_profits: tuple[int, tuple[int, ...]] | None = None
 
     @property
     def rows(self) -> MatrixRows:
@@ -110,6 +113,15 @@ class Instance:
         if self._element_sets is None:
             self._element_sets = tuple(map(bit_indices, self.row_masks))
         return self._element_sets
+
+    def scaled_profits(self) -> tuple[int, tuple[int, ...]]:
+        """(L_p, profits times L_p as ints), L_p the lcm of the profit
+        denominators; built on first use and then kept."""
+        if self._scaled_profits is None:
+            l_p = lcm(*(p.denominator for p in self.profits))
+            self._scaled_profits = (l_p, tuple(p.numerator * (l_p // p.denominator)
+                                               for p in self.profits))
+        return self._scaled_profits
 
     def sets_of_element(self, i: int) -> tuple[int, ...]:
         return self.element_sets()[i]

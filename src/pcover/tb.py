@@ -39,8 +39,9 @@ Phi takes finitely many values.
 
 `standard_greedy_form` keeps an already gamma-free matrix in its own
 order, and otherwise certifies the doubly lexical ordering with
-`gamma_witness`.  By the theorem, a pattern that survives is a definite
-"not totally balanced", and it is reported as the witness.
+`gamma_witness`, a scan of consecutive rows within each column.  By the
+theorem, a pattern that survives is a definite "not totally balanced",
+and it is reported as the witness.
 """
 
 from __future__ import annotations
@@ -71,19 +72,27 @@ class GammaWitness:
 
 
 def gamma_witness(row_masks) -> GammaWitness | None:
-    """First (lexicographically smallest) occurrence of the pattern, if any."""
-    n = len(row_masks)
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            common = row_masks[i1] & row_masks[i2]
-            only_upper = row_masks[i1] & ~row_masks[i2]
-            if not common or not only_upper:
-                continue
-            j1 = (common & -common).bit_length() - 1
-            rest = only_upper >> (j1 + 1)
-            if rest:
-                j2 = j1 + 1 + (rest & -rest).bit_length() - 1
-                return GammaWitness((i1, i2), (j1, j2))
+    """An occurrence of the pattern, if any, in O(nnz) mask operations.
+
+    A matrix is gamma-free iff in every column j, each row of the column
+    has no 1 above j that the column's next row lacks: that containment
+    of suffixes is transitive along the column, and a violation is itself
+    the pattern.  The witness returned is the first violation met, rows
+    ascending and, within a row, columns ascending; it need not be the
+    lexicographically smallest occurrence.
+    """
+    width = max((mask.bit_length() for mask in row_masks), default=0)
+    last_row: list[int | None] = [None] * width  # per column, the last row seen
+    for i2, mask in enumerate(row_masks):
+        missing = ~mask
+        for j1 in bit_indices(mask):
+            i1 = last_row[j1]
+            if i1 is not None:
+                rest = (row_masks[i1] & missing) >> (j1 + 1)
+                if rest:
+                    j2 = j1 + (rest & -rest).bit_length()
+                    return GammaWitness((i1, i2), (j1, j2))
+            last_row[j1] = i2
     return None
 
 

@@ -47,6 +47,13 @@ def test_covered_profit_examples():
     assert covered_profit(inst, Cover.of([1])) == 2  # second set covers both
 
 
+def test_scaled_profits_are_exact_and_kept():
+    inst = make_instance([[1], [1], [0]], [1], [F(1, 6), 0, F(3, 4)], 0)
+    assert inst.scaled_profits() == (12, (2, 0, 9))
+    assert inst.scaled_profits() is inst.scaled_profits()
+    assert make_instance([], [], [], 0).scaled_profits() == (1, ())
+
+
 def test_covered_profit_monotone_under_inclusion():
     rng = Lcg(5)
     for seed in range(10):

@@ -7,7 +7,8 @@ from pcover.generators import (corpus_instance, gen_gap_family,
 from pcover.model import (PermutationPair, covered_profit, make_instance,
                           permute_instance, row_bitmasks)
 from pcover.pipeline import solve_partial_tbc
-from pcover.tb import is_gamma_free, is_totally_balanced, standard_greedy_form
+from pcover.tb import (gamma_witness, is_gamma_free, is_totally_balanced,
+                       standard_greedy_form)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -89,3 +90,32 @@ def test_non_tb_witness_indexes_gamma_in_original(rows):
     assert not sgf.ok
     (i1, i2), (j1, j2) = sgf.witness.rows, sgf.witness.cols
     assert [[rows[i1][j1], rows[i1][j2]], [rows[i2][j1], rows[i2][j2]]] == [[1, 1], [1, 0]]
+
+
+def reference_gamma_witness(row_masks):
+    """The lexicographically smallest pattern, by a scan of all row pairs."""
+    n = len(row_masks)
+    for i1 in range(n):
+        for i2 in range(i1 + 1, n):
+            common = row_masks[i1] & row_masks[i2]
+            only_upper = row_masks[i1] & ~row_masks[i2]
+            if not common or not only_upper:
+                continue
+            j1 = (common & -common).bit_length() - 1
+            rest = only_upper >> (j1 + 1)
+            if rest:
+                j2 = j1 + 1 + (rest & -rest).bit_length() - 1
+                return (i1, i2), (j1, j2)
+    return None
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_matrices(8))
+def test_gamma_witness_agrees_with_pair_scan(rows):
+    masks = row_bitmasks(rows)
+    found = gamma_witness(masks)
+    assert (found is None) == (reference_gamma_witness(masks) is None)
+    if found is not None:
+        (i1, i2), (j1, j2) = found.rows, found.cols
+        assert i1 < i2 and j1 < j2
+        assert [[rows[i1][j1], rows[i1][j2]], [rows[i2][j1], rows[i2][j2]]] == [[1, 1], [1, 0]]

@@ -25,14 +25,16 @@ a cost minus at most n duals, at most n times that.
 
 `kolen` keeps the run packed: its pruned and tight covers are computed
 eagerly, and `KolenResult.dual` decodes the DualSolution only when it is
-read.  The audits work on the decoded DeltaRationals, not on the ints.
+read.  `audit_optimality` is the checker, kept independent of this kernel:
+it reads the decoded DeltaRationals and the instance's Fractions, never
+the packed ints or the scaled profits, and works on plain Fraction value
+and delta parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .arith import DeltaRational
 from .errors import InputError
@@ -47,15 +49,6 @@ class DualSolution:
     y: tuple[DeltaRational, ...]
     lam: DeltaRational
     residuals: tuple[DeltaRational, ...]
-
-    def recompute_residuals(self, instance: Instance) -> tuple[DeltaRational, ...]:
-        out = []
-        for c, mask in zip(instance.costs, instance.col_masks):
-            total = DeltaRational(c)
-            for i in bit_indices(mask):
-                total = total - self.y[i]
-            out.append(total)
-        return tuple(out)
 
     def positive_y_mask(self) -> int:
         mask = 0
@@ -134,13 +127,12 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational) -> _PackedDual:
     """
     a, b = lam.value.numerator, lam.value.denominator
     d_num, d_den = lam.delta.numerator, lam.delta.denominator
-    l_c = lcm(*(c.denominator for c in instance.costs))
+    l_c, costs = instance.scaled_costs()
     l_p, profits = instance.scaled_profits()
     base = 2 * abs(d_num) * sum(profits) * max(instance.n, 1) + 1
     cap_unit = a * l_c * base + d_num  # lambda * p_i packs as cap_unit * P_i
     cost_unit = l_p * b * base
-    residuals = [c.numerator * (l_c // c.denominator) * cost_unit
-                 for c in instance.costs]
+    residuals = [c * cost_unit for c in costs]
     y = []
     for sets, p in zip(instance.element_sets(), profits):
         yi = cap_unit * p
@@ -212,21 +204,28 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
       (c) every element the pruned cover misses has its dual at the cap;
       (d) dual feasibility: 0 <= y_i <= lambda p_i and residuals >= 0,
           with stored residuals matching recomputation.
+
+    The check reads only the decoded DeltaRationals and the instance's
+    Fractions: each value is handled as its value part and its delta part,
+    each cap lambda * p_i is computed once, and sums are plain Fraction
+    sums.  Nothing here touches the packed ints of the kernel it checks.
     """
     lam = DeltaRational.of(lam)
     dual = result.dual
     covered = covered_element_mask(instance, result.pruned)
+    y_value = [yi.value for yi in dual.y]
+    y_delta = [yi.delta for yi in dual.y]
+    cap_value = [lam.value * p for p in instance.profits]
+    cap_delta = [lam.delta * p for p in instance.profits]
+    uncovered = [i for i in range(instance.n) if not covered >> i & 1]
 
-    lhs = DeltaRational(sum((instance.costs[j] for j in result.pruned.sets),
-                            Fraction(0)))
-    for i in range(instance.n):
-        if not (covered >> i & 1):
-            lhs = lhs + lam * instance.profits[i]
-    rhs = DeltaRational(0)
-    for yi in dual.y:
-        rhs = rhs + yi
+    lhs = (sum(map(instance.costs.__getitem__, result.pruned.sets), Fraction(0))
+           + sum(map(cap_value.__getitem__, uncovered)),
+           sum(map(cap_delta.__getitem__, uncovered), Fraction(0)))
+    rhs = (sum(y_value, Fraction(0)), sum(y_delta, Fraction(0)))
     if lhs != rhs:
-        return OptimalityAudit(False, "a", f"cost+penalty {lhs} != dual total {rhs}")
+        return OptimalityAudit(False, "a", f"cost+penalty {DeltaRational(*lhs)} "
+                                           f"!= dual total {DeltaRational(*rhs)}")
 
     pruned_mask = 0
     for j in result.pruned.sets:
@@ -238,22 +237,26 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
                 return OptimalityAudit(False, "b",
                                        f"element {i} with positive dual covered {hits} times")
 
-    for i in range(instance.n):
-        if not (covered >> i & 1) and dual.y[i] != lam * instance.profits[i]:
+    for i in uncovered:
+        if y_value[i] != cap_value[i] or y_delta[i] != cap_delta[i]:
+            cap = DeltaRational(cap_value[i], cap_delta[i])
             return OptimalityAudit(False, "c",
                                    f"uncovered element {i} has dual {dual.y[i]} "
-                                   f"below cap {lam * instance.profits[i]}")
+                                   f"below cap {cap}")
 
-    recomputed = dual.recompute_residuals(instance)
-    for j, (stored, fresh) in enumerate(zip(dual.residuals, recomputed)):
-        if stored != fresh:
+    for j, (stored, c, mask) in enumerate(zip(dual.residuals, instance.costs,
+                                              instance.col_masks)):
+        members = bit_indices(mask)
+        fresh = (c - sum(map(y_value.__getitem__, members)),
+                 -sum(map(y_delta.__getitem__, members)))
+        if (stored.value, stored.delta) != fresh:
             return OptimalityAudit(False, "d", f"residual mismatch at set {j}")
-        if not fresh.is_nonnegative():
+        if fresh < (0, 0):
             return OptimalityAudit(False, "d", f"negative residual at set {j}")
-    for i, yi in enumerate(dual.y):
-        if not yi.is_nonnegative():
+    for i, part in enumerate(zip(y_value, y_delta)):
+        if part < (0, 0):
             return OptimalityAudit(False, "d", f"negative dual at element {i}")
-        if yi > lam * instance.profits[i]:
+        if part > (cap_value[i], cap_delta[i]):
             return OptimalityAudit(False, "d", f"dual above cap at element {i}")
 
     return OptimalityAudit(True)

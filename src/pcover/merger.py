@@ -441,6 +441,7 @@ class MergeBoundAudit:
     ok: bool
     per_k: tuple[tuple[int, Fraction, bool], ...]  # (k, bound, holds)
     tightest_k: int | None
+    failed_clause: str | None = None  # "k = K" for the first K that breaks
     detail: str = ""
 
 
@@ -457,16 +458,19 @@ def audit_merge_bound(trace: MergeTrace, instance: Instance, dual_value_dl,
     cost = cover_cost(instance, trace.final)
     c_max = instance.max_cost()
     per_k = []
-    ok = True
+    failed = None
     tightest = None
     tightest_bound = None
     for k in range(1, k_max + 1):
         bound = (1 + Fraction(1, 3 ** (k - 1))) * dl + k * c_max
         holds = cost <= bound
         per_k.append((k, bound, holds))
-        ok = ok and holds
+        if not holds and failed is None:
+            failed = (k, bound)
         if holds and (tightest_bound is None or bound < tightest_bound):
             tightest_bound = bound
             tightest = k
-    detail = "" if ok else f"cost {cost} breaks the bound at some k <= {k_max}"
-    return MergeBoundAudit(ok, tuple(per_k), tightest, detail)
+    if failed is None:
+        return MergeBoundAudit(True, tuple(per_k), tightest)
+    return MergeBoundAudit(False, tuple(per_k), tightest, f"k = {failed[0]}",
+                           f"cost {cost} above bound {failed[1]}")

@@ -68,6 +68,12 @@ def _move_bits(mask: int, bits: Sequence[int]) -> int:
     return sum(map(bits.__getitem__, bit_indices(mask)))
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(L, values times L as ints), L the lcm of the denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 class Instance:
     """Immutable covering instance.
 
@@ -81,7 +87,7 @@ class Instance:
 
     __slots__ = ("n", "m", "row_masks", "col_masks", "costs", "profits",
                  "target", "_rows", "_gamma_free", "_element_sets",
-                 "_scaled_profits")
+                 "_scaled_profits", "_scaled_costs")
 
     def __init__(self, row_masks: tuple[int, ...], costs: tuple[Fraction, ...],
                  profits: tuple[Fraction, ...], target: Fraction):
@@ -96,6 +102,7 @@ class Instance:
         self._gamma_free: bool | None = None
         self._element_sets: tuple[tuple[int, ...], ...] | None = None
         self._scaled_profits: tuple[int, tuple[int, ...]] | None = None
+        self._scaled_costs: tuple[int, tuple[int, ...]] | None = None
 
     @property
     def rows(self) -> MatrixRows:
@@ -118,10 +125,15 @@ class Instance:
         """(L_p, profits times L_p as ints), L_p the lcm of the profit
         denominators; built on first use and then kept."""
         if self._scaled_profits is None:
-            l_p = lcm(*(p.denominator for p in self.profits))
-            self._scaled_profits = (l_p, tuple(p.numerator * (l_p // p.denominator)
-                                               for p in self.profits))
+            self._scaled_profits = _scaled(self.profits)
         return self._scaled_profits
+
+    def scaled_costs(self) -> tuple[int, tuple[int, ...]]:
+        """(L_c, costs times L_c as ints), L_c the lcm of the cost
+        denominators; built on first use and then kept."""
+        if self._scaled_costs is None:
+            self._scaled_costs = _scaled(self.costs)
+        return self._scaled_costs
 
     def sets_of_element(self, i: int) -> tuple[int, ...]:
         return self.element_sets()[i]

@@ -143,6 +143,14 @@ def lemma_witness_check(instance: Instance, graph: MergerGraph,
     return True
 
 
+def _audit_failure(name: str, outcome) -> str:
+    """An audit's name, with the failed clause and its detail when the audit
+    reports them (an OptimalityAudit or a MergeBoundAudit)."""
+    if outcome is None:
+        return name
+    return f"{name}: clause {outcome.failed_clause}: {outcome.detail}"
+
+
 def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveReport:
     """Solve a totally balanced partial-cover instance with audits.
 
@@ -163,11 +171,12 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
     t_thr = time.perf_counter()
 
     audits: dict[str, bool] = {}
+    outcomes = {}  # audits that report a failed clause and its detail
     y = [yi.value for yi in (thr.exact_hit or thr.at_star).dual.y]
     dl = dual_value(work, y, thr.lambda_star)
     if thr.exact_hit is not None:
         run = thr.exact_hit
-        audits["dual_optimality"] = audit_optimality(work, run.dual.lam, run).ok
+        outcomes["dual_optimality"] = audit_optimality(work, run.dual.lam, run)
         final_work = run.pruned
         audits["exact_hit_identity"] = cover_cost(work, final_work) == dl
         splits = 0
@@ -175,8 +184,8 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
     else:
         low_run, high_run = thr.merge_pair(work.target)
         perturbed = thr.below if low_run is thr.below else thr.at_or_above
-        audits["dual_optimality_low"] = audit_optimality(work, low_run.dual.lam, low_run).ok
-        audits["dual_optimality_high"] = audit_optimality(work, high_run.dual.lam, high_run).ok
+        outcomes["dual_optimality_low"] = audit_optimality(work, low_run.dual.lam, low_run)
+        outcomes["dual_optimality_high"] = audit_optimality(work, high_run.dual.lam, high_run)
         audits["tight_inclusion"] = perturbed.tight.as_set() <= thr.at_star.tight.as_set()
         audits["value_parts_match"] = all(
             yl.value == yh.value for yl, yh in zip(low_run.dual.y, high_run.dual.y))
@@ -184,10 +193,11 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
                                    low_run.dual, high_run.dual)
         audits["coverage_witness"] = lemma_witness_check(work, graph, low_run, high_run)
         final_work, trace = merge(graph, low_run.pruned, high_run.pruned, work)
-        audits["merge_bound"] = audit_merge_bound(trace, work, dl, k_max=10).ok
+        outcomes["merge_bound"] = audit_merge_bound(trace, work, dl, k_max=10)
         splits = len(trace.splits)
         lp_covers = (low_run.pruned, high_run.pruned)
     t_merge = time.perf_counter()
+    audits.update((name, outcome.ok) for name, outcome in outcomes.items())
 
     inv = perm.inverse()
     cover = Cover.of(inv.col_perm[j] for j in final_work.sets)
@@ -213,7 +223,8 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
 
     failed = sorted(name for name, ok in audits.items() if not ok)
     if failed:
-        raise AuditError(f"solve audits failed: {', '.join(failed)}")
+        raise AuditError("solve audits failed: " + ", ".join(
+            _audit_failure(name, outcomes.get(name)) for name in failed))
 
     t_end = time.perf_counter()
     return SolveReport(

@@ -17,9 +17,19 @@ This is a Megiddo-style parametric search (Megiddo, "Combinatorial
 optimization with rational objective functions", 1979).  The symbolic
 pass is resumed, not restarted, after each round: the interval only
 shrinks, so the elements already agreed on stay agreed and the pass costs
-one envelope computation per element plus one per round in total.  The
-probes run the packed-int kernel of `pcover.kolen`; only the runs that
-the result keeps have their duals decoded.
+one envelope computation per element plus one per round in total.
+
+The pass keeps its lines as int pairs: intercepts are multiples of 1/L_c
+and slopes multiples of 1/L_p (L_c, L_p the lcms of the cost and profit
+denominators), so both are scaled by L = lcm(L_c, L_p).  A crossing
+(A1 - A2) / (B2 - B1) of two scaled lines is the same multiplier as that
+of the unscaled ones, so breakpoints need no change of unit;
+`lower_envelope_breakpoints` compares crossings by cross-multiplication
+with one body for int and Fraction lines.  The agreed lines are decoded
+to Fractions only as the result records them.  The probes run the
+packed-int kernel of `pcover.kolen`, and their coverage is an int sum of
+the scaled profits over the covered element mask; only the runs that the
+result keeps have their duals decoded.
 
 Any materialized run that covers exactly P short-circuits the search: by
 the exactness certificate such a cover is optimal for the partial problem.
@@ -29,11 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import DeltaRational
 from .errors import InfeasibleError, InternalInvariantError
 from .kolen import KolenResult, kolen
-from .model import EMPTY_COVER, Cover, Instance, covered_profit
+from .model import (EMPTY_COVER, Cover, Instance, bit_indices,
+                    covered_element_mask)
 
 Line = tuple[Fraction, Fraction]  # (intercept, slope) as a function of lambda
 
@@ -41,36 +53,46 @@ Line = tuple[Fraction, Fraction]  # (intercept, slope) as a function of lambda
 def lower_envelope_breakpoints(lines, interval) -> tuple[Fraction, ...]:
     """Lambdas strictly inside `interval` where the pointwise min changes.
 
-    Lines are (intercept, slope) pairs; duplicates (as functions) are
-    ignored.  Crossings that never reach the lower envelope do not count.
+    Lines are (intercept, slope) pairs of ints or Fractions; duplicates
+    (as functions) are ignored.  Crossings that never reach the lower
+    envelope do not count.  A crossing is kept as a (numerator,
+    denominator) pair with a positive denominator and compared by
+    cross-multiplication, so int lines never build a Fraction until a
+    breakpoint is returned; lines scaled by a common positive factor give
+    the same breakpoints.
     """
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo >= hi:
         raise InternalInvariantError(f"empty interval ({lo}, {hi})")
-    unique = sorted({(Fraction(a), Fraction(b)) for a, b in lines})
+    unique = sorted(set(lines))
     if not unique:
         raise InternalInvariantError("no lines given")
+    lo_n, lo_d = lo.numerator, lo.denominator
+    hi_n, hi_d = hi.numerator, hi.denominator
     # Entry piece: minimal value just right of lo, slope breaking ties.
-    current = min(unique, key=lambda ln: (ln[0] + ln[1] * lo, ln[1]))
-    x = lo
+    ca, cb = min(unique, key=lambda ln: (ln[0] * lo_d + ln[1] * lo_n, ln[1]))
+    x_n, x_d = lo_n, lo_d
     breakpoints = []
     while True:
-        best_x = None
-        best_line = None
-        for ln in unique:
-            if ln[1] >= current[1]:
+        best = None
+        for a, b in unique:
+            if b >= cb:
                 continue
-            cross = (ln[0] - current[0]) / (current[1] - ln[1])
-            if not (x < cross < hi):
+            num, den = a - ca, cb - b  # crossing num / den, den > 0
+            if not (x_n * den < num * x_d and num * hi_d < hi_n * den):
                 continue
-            if best_x is None or cross < best_x or (cross == best_x and ln[1] < best_line[1]):
-                best_x = cross
-                best_line = ln
-        if best_x is None:
+            if best is None:
+                best = (num, den, a, b)
+                continue
+            order = num * best[1] - best[0] * den
+            if order < 0 or (order == 0 and b < best[3]):
+                best = (num, den, a, b)
+        if best is None:
             return tuple(breakpoints)
-        breakpoints.append(best_x)
-        current = best_line
-        x = best_x
+        num, den, ca, cb = best
+        x = Fraction(num, den)
+        breakpoints.append(x)
+        x_n, x_d = x.numerator, x.denominator
 
 
 @dataclass(frozen=True)
@@ -118,53 +140,77 @@ class _SymbolicPass:
     """The dual update run symbolically, resumed from round to round.
 
     Every dual variable and residual cost is a line (intercept, slope) in
-    lambda.  `advance(lo, hi)` continues from the first element not yet
-    agreed on and returns ('agree', lines) when every element's dual is a
-    single linear function of lambda across the open interval, else
-    ('split', i, breakpoints, lines-so-far) for the first element whose
-    candidate envelope changes identity inside it.  The search only ever
-    shrinks the interval, and lines that agree on an interval agree on
-    every subinterval, so agreed elements are never run again and a whole
-    search calls `lower_envelope_breakpoints` at most n + rounds times.
+    lambda, kept as a pair of ints scaled by L = lcm(L_c, L_p): intercepts
+    are multiples of 1/L_c (costs minus duals) and slopes multiples of
+    1/L_p (profits minus duals), so scaling both by L changes no crossing.
+    `advance(lo, hi)` continues from the first element not yet agreed on
+    and returns ('agree', lines) when every element's dual is a single
+    linear function of lambda across the open interval, else ('split', i,
+    breakpoints, lines-so-far) for the first element whose candidate
+    envelope changes identity inside it; the lines it returns are
+    Fractions.  The search only ever shrinks the interval, and lines that
+    agree on an interval agree on every subinterval, so agreed elements are
+    never run again and a whole search calls `lower_envelope_breakpoints`
+    at most n + rounds times.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.residuals: list[Line] = [(c, Fraction(0)) for c in instance.costs]
-        self.lines: list[Line] = []
+        l_c, costs = instance.scaled_costs()
+        l_p, profits = instance.scaled_profits()
+        self.scale = lcm(l_c, l_p)
+        self.caps = [(0, p * (self.scale // l_p)) for p in profits]
+        self.residuals = [(c * (self.scale // l_c), 0) for c in costs]
+        self.lines: list[tuple[int, int]] = []
+        self.decoded: list[Line] = []
+
+    def _agreed(self) -> tuple[Line, ...]:
+        scale, decoded = self.scale, self.decoded
+        decoded.extend((Fraction(a, scale), Fraction(b, scale))
+                       for a, b in self.lines[len(decoded):])
+        return tuple(decoded)
 
     def advance(self, lo: Fraction, hi: Fraction):
-        instance, residuals, lines = self.instance, self.residuals, self.lines
-        element_sets = instance.element_sets()
+        residuals, lines = self.residuals, self.lines
+        element_sets = self.instance.element_sets()
         mid = (lo + hi) / 2
-        for i in range(len(lines), instance.n):
+        mid_n, mid_d = mid.numerator, mid.denominator
+        for i in range(len(lines), self.instance.n):
             sets = element_sets[i]
             candidates = [residuals[j] for j in sets]
-            candidates.append((Fraction(0), instance.profits[i]))
+            candidates.append(self.caps[i])
             bps = lower_envelope_breakpoints(candidates, (lo, hi))
             if bps:
-                return ("split", i, bps, tuple(lines))
-            best_value = min(a + b * mid for a, b in candidates)
-            winners = {(a, b) for a, b in candidates if a + b * mid == best_value}
+                return ("split", i, bps, self._agreed())
+            values = [a * mid_d + b * mid_n for a, b in candidates]
+            best_value = min(values)
+            winners = {ln for ln, v in zip(candidates, values) if v == best_value}
             if len(winners) != 1:
                 raise InternalInvariantError(
                     f"element {i}: distinct minimal lines without an envelope breakpoint")
-            yi = winners.pop()
-            lines.append(yi)
-            if yi != (0, 0):
+            ya, yb = winners.pop()
+            lines.append((ya, yb))
+            if ya or yb:
                 for j in sets:
                     a, b = residuals[j]
-                    residuals[j] = (a - yi[0], b - yi[1])
-        return ("agree", tuple(lines))
+                    residuals[j] = (a - ya, b - yb)
+        return ("agree", self._agreed())
 
 
 class _Prober:
-    """Caches perturbed runs and counts actual solver invocations."""
+    """Caches perturbed runs and counts actual solver invocations.
+
+    Coverage is measured in units of 1/L_p, as an int sum of
+    `Instance.scaled_profits()` over the covered element mask; `goal` is
+    the target in the same units.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.cache: dict[tuple[Fraction, int], KolenResult] = {}
         self.calls = 0
+        self.l_p, self.profits = instance.scaled_profits()
+        self.goal = instance.target * self.l_p
 
     def run(self, lam: Fraction, side: int) -> KolenResult:
         key = (lam, side)
@@ -173,8 +219,12 @@ class _Prober:
             self.calls += 1
         return self.cache[key]
 
-    def coverage(self, lam: Fraction, side: int) -> Fraction:
-        return covered_profit(self.instance, self.run(lam, side).pruned)
+    def covered(self, cover: Cover) -> int:
+        mask = covered_element_mask(self.instance, cover)
+        return sum(map(self.profits.__getitem__, bit_indices(mask)))
+
+    def coverage(self, lam: Fraction, side: int) -> int:
+        return self.covered(self.run(lam, side).pruned)
 
 
 def _trivial_result(instance: Instance, calls: int) -> ThresholdResult:
@@ -201,19 +251,21 @@ def find_threshold(instance: Instance) -> ThresholdResult:
                               f"{instance.coverable_profit()}")
 
     prober = _Prober(instance)
+    goal = prober.goal
 
     free_sets = Cover.of(j for j, c in enumerate(instance.costs) if c == 0)
-    if free_sets.sets and covered_profit(instance, free_sets) >= P:
+    if free_sets.sets and prober.covered(free_sets) >= goal:
         # Zero-cost sets already reach the target; the lambda = 0 run
         # returns them all (no dual is positive, nothing dominates).
-        hit = prober.run(Fraction(0), 0)
-        if covered_profit(instance, hit.pruned) < P:
+        if prober.coverage(Fraction(0), 0) < goal:
             raise InternalInvariantError("zero-cost cover vanished in solver run")
-        return ThresholdResult(Fraction(0), None, None, hit, prober.calls)
+        return ThresholdResult(Fraction(0), None, None, prober.run(Fraction(0), 0),
+                               prober.calls)
 
-    hi = 2 * max(instance.costs[j] / instance.profits[i]
-                 for i in range(instance.n) if instance.profits[i] > 0
-                 for j in instance.sets_of_element(i))
+    costs, profits = instance.costs, instance.profits
+    hi = 2 * max(max(map(costs.__getitem__, sets)) / profits[i]
+                 for i, sets in enumerate(instance.element_sets())
+                 if sets and profits[i] > 0)
     lo = Fraction(0)
     if hi <= 0:
         raise InternalInvariantError("degenerate initial interval")
@@ -235,18 +287,18 @@ def find_threshold(instance: Instance) -> ThresholdResult:
         exact = None
         while hi_idx - lo_idx > 1:
             mid = (lo_idx + hi_idx) // 2
-            run = prober.run(bps[mid - 1], -1)
-            cov = covered_profit(instance, run.pruned)
-            if cov == P:
-                exact = (bps[mid - 1], run)
+            cov = prober.coverage(bps[mid - 1], -1)
+            if cov == goal:
+                exact = bps[mid - 1]
                 break
-            if cov >= P:
+            if cov >= goal:
                 hi_idx = mid
             else:
                 lo_idx = mid
         if exact is not None:
-            return ThresholdResult(exact[0], None, None, exact[1], prober.calls,
-                                   interval=(lo, hi), agreed_lines=agreed)
+            return ThresholdResult(exact, None, None, prober.run(exact, -1),
+                                   prober.calls, interval=(lo, hi),
+                                   agreed_lines=agreed)
 
         if lo_idx == 0:
             hi = bps[0]
@@ -254,20 +306,21 @@ def find_threshold(instance: Instance) -> ThresholdResult:
 
         lam_a = bps[lo_idx - 1]
         plus_run = prober.run(lam_a, +1)
-        plus_cov = covered_profit(instance, plus_run.pruned)
-        if plus_cov == P:
+        plus_cov = prober.coverage(lam_a, +1)
+        if plus_cov == goal:
             return ThresholdResult(lam_a, None, None, plus_run, prober.calls,
                                    interval=(lo, hi), agreed_lines=agreed)
-        if plus_cov > P:
+        if plus_cov > goal:
             below = prober.run(lam_a, -1)
             star_run = prober.run(lam_a, 0)
-            star_cov = covered_profit(instance, star_run.pruned)
-            if star_cov == P:
+            star_cov = prober.coverage(lam_a, 0)
+            if star_cov == goal:
                 return ThresholdResult(lam_a, below, plus_run, star_run,
                                        prober.calls, interval=(lo, hi),
                                        agreed_lines=agreed)
             return ThresholdResult(lam_a, below, plus_run, None, prober.calls,
-                                   at_star=star_run, star_covered=star_cov,
+                                   at_star=star_run,
+                                   star_covered=Fraction(star_cov, prober.l_p),
                                    interval=(lo, hi), agreed_lines=agreed)
         lo = lam_a
         if hi_idx <= len(bps):

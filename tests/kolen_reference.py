@@ -2,9 +2,12 @@
 
 `reference_kolen` is Kolen's dual update and reverse delete written on
 DeltaRational values, one comparison and one subtraction at a time.
-`reference_dual_lines` is the symbolic dual pass that restarts from
-element 0 on every call.  The tests referee the packed-int kernel and the
-resumed pass against them; nothing in `src` imports this module.
+`reference_dual_lines` is the symbolic dual pass on Fraction lines that
+restarts from element 0 on every call.  `reference_audit_optimality` is
+the optimality audit on DeltaRational values, every cap and residual
+rebuilt where it is used.  The tests referee the packed-int kernel, the
+resumed int pass and the audit against them; nothing in `src` imports
+this module.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from fractions import Fraction
 
 from pcover.arith import DeltaRational
 from pcover.errors import InternalInvariantError
-from pcover.model import Cover
+from pcover.kolen import OptimalityAudit
+from pcover.model import Cover, bit_indices, covered_element_mask
 
 
 def reference_dual_update(instance, lam):
@@ -84,3 +88,54 @@ def reference_dual_lines(instance, lo, hi, envelope):
                 a, b = residuals[j]
                 residuals[j] = (a - yi[0], b - yi[1])
     return ("agree", tuple(lines))
+
+
+def reference_audit_optimality(instance, lam, result):
+    """The optimality audit of `pcover.kolen`, clause by clause on
+    DeltaRationals: same clause order, letters and detail strings."""
+    lam = DeltaRational.of(lam)
+    dual = result.dual
+    covered = covered_element_mask(instance, result.pruned)
+
+    lhs = DeltaRational(sum((instance.costs[j] for j in result.pruned.sets),
+                            Fraction(0)))
+    for i in range(instance.n):
+        if not (covered >> i & 1):
+            lhs = lhs + lam * instance.profits[i]
+    rhs = DeltaRational(0)
+    for yi in dual.y:
+        rhs = rhs + yi
+    if lhs != rhs:
+        return OptimalityAudit(False, "a", f"cost+penalty {lhs} != dual total {rhs}")
+
+    pruned_mask = 0
+    for j in result.pruned.sets:
+        pruned_mask |= 1 << j
+    for i in range(instance.n):
+        if dual.y[i].is_positive():
+            hits = (instance.row_masks[i] & pruned_mask).bit_count()
+            if hits > 1:
+                return OptimalityAudit(False, "b",
+                                       f"element {i} with positive dual covered {hits} times")
+
+    for i in range(instance.n):
+        if not (covered >> i & 1) and dual.y[i] != lam * instance.profits[i]:
+            return OptimalityAudit(False, "c",
+                                   f"uncovered element {i} has dual {dual.y[i]} "
+                                   f"below cap {lam * instance.profits[i]}")
+
+    for j, stored in enumerate(dual.residuals):
+        fresh = DeltaRational(instance.costs[j])
+        for i in bit_indices(instance.col_masks[j]):
+            fresh = fresh - dual.y[i]
+        if stored != fresh:
+            return OptimalityAudit(False, "d", f"residual mismatch at set {j}")
+        if not fresh.is_nonnegative():
+            return OptimalityAudit(False, "d", f"negative residual at set {j}")
+    for i, yi in enumerate(dual.y):
+        if not yi.is_nonnegative():
+            return OptimalityAudit(False, "d", f"negative dual at element {i}")
+        if yi > lam * instance.profits[i]:
+            return OptimalityAudit(False, "d", f"dual above cap at element {i}")
+
+    return OptimalityAudit(True)

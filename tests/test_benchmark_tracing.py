@@ -7,6 +7,7 @@ break the traced benchmark run without failing any solver test.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from pcover.generators import gen_gap_family
@@ -33,3 +34,26 @@ def test_solve_timings_have_every_bucket():
     tracing = _load_tracing()
     timings = solve_partial_tbc(gen_gap_family(1).instance).timings
     assert set(tracing.TIMING_BUCKETS) <= set(timings)
+
+
+def test_traced_call_sites_are_reached(monkeypatch):
+    # A call site that resolves but is bypassed (a caller that no longer
+    # looks the name up in the module) would read 0 in the traced run.
+    tracing = _load_tracing()
+    counts = Counter()
+    for module_name, attr, span in tracing.CALL_SITES:
+        if module_name not in ("pcover.threshold", "pcover.pipeline"):
+            continue
+        module = importlib.import_module(module_name)
+
+        def counting(*args, _fn=getattr(module, attr), _span=span, **kwargs):
+            counts[_span] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    pipeline = importlib.import_module("pcover.pipeline")
+    pipeline.solve_partial_tbc(gen_gap_family(1).instance)
+    for span in ("threshold.lower_envelope_breakpoints", "kolen.kolen.probe",
+                 "kolen.audit_optimality", "threshold.find_threshold",
+                 "pipeline.solve_partial_tbc"):
+        assert counts[span] > 0, span

@@ -1,5 +1,6 @@
-"""The packed-int Kolen kernel and the resumed symbolic pass, refereed
-against the direct DeltaRational implementations in kolen_reference."""
+"""The packed-int Kolen kernel, the resumed symbolic pass and the
+optimality audit, refereed against the direct DeltaRational
+implementations in kolen_reference."""
 
 import importlib
 from dataclasses import replace
@@ -7,13 +8,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from kolen_reference import reference_dual_lines, reference_kolen
+from kolen_reference import (reference_audit_optimality, reference_dual_lines,
+                             reference_kolen)
 from pcover import threshold
 from pcover.arith import DeltaRational
 from pcover.errors import AuditError
 from pcover.generators import Lcg, corpus_instance, gen_gap_family
-from pcover.kolen import DualSolution, dual_update, kolen, reverse_delete
-from pcover.model import make_instance
+from pcover.kolen import (DualSolution, KolenResult, audit_optimality,
+                          dual_update, kolen, reverse_delete)
+from pcover.model import Cover, Instance, bit_indices, make_instance
 from pcover.pipeline import CORPUS_LAMBDAS, solve_partial_tbc, to_greedy_form
 from pcover.threshold import find_threshold
 
@@ -152,8 +155,90 @@ def test_resumed_pass_matches_restart_reference(monkeypatch):
     assert saved > 0
 
 
+def audit_outcome(audit):
+    return (audit.ok, audit.failed_clause, audit.detail)
+
+
+def moved_dual(instance, run, source, sink, amount):
+    """The run with `amount` of dual moved from element `source` to `sink`,
+    residuals recomputed, so clause (a) and the residual match still hold."""
+    y = list(run.dual.y)
+    y[source] = y[source] - amount
+    y[sink] = y[sink] + amount
+    residuals = []
+    for c, mask in zip(instance.costs, instance.col_masks):
+        fresh = DeltaRational(c)
+        for i in bit_indices(mask):
+            fresh = fresh - y[i]
+        residuals.append(fresh)
+    dual = DualSolution(tuple(y), run.dual.lam, tuple(residuals))
+    return KolenResult(run.pruned, run.tight, dual)
+
+
+def tampered_runs(instance, run):
+    """The run; the run with its pruned cover grown by one tight set and
+    shrunk by its last set; and the run with dual moved between its first
+    and last elements, both ways."""
+    yield run
+    extra = sorted(run.tight.as_set() - run.pruned.as_set())
+    if extra:
+        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight, run.dual)
+    if run.pruned.sets:
+        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual)
+    if instance.n >= 2:
+        last = instance.n - 1
+        yield moved_dual(instance, run, 0, last, run.dual.y[0])
+        yield moved_dual(instance, run, last, 0, run.dual.y[last])
+        yield moved_dual(instance, run, 0, last, DeltaRational(1))
+
+
+def assert_same_audits(instance, lams):
+    for lam in lams:
+        for run in tampered_runs(instance, kolen(instance, lam)):
+            assert audit_outcome(audit_optimality(instance, lam, run)) == \
+                audit_outcome(reference_audit_optimality(instance, lam, run))
+
+
+def test_audit_matches_reference_on_corpus():
+    for seed in range(200):
+        work, _ = to_greedy_form(corpus_instance(seed))
+        assert_same_audits(work, threshold_lambdas(work))
+
+
+def test_audit_matches_reference_on_gap_family():
+    for q in (1, 2):
+        work, _ = to_greedy_form(gen_gap_family(q).instance)
+        assert_same_audits(work, threshold_lambdas(work))
+
+
+def test_audit_matches_reference_on_fractional_data():
+    for inst in fractional_instances(40):
+        assert_same_audits(inst, ODD_DELTAS + tuple(threshold_lambdas(inst)))
+
+
+def test_audit_reads_no_kernel_data(monkeypatch):
+    # The checker stays independent of the kernel it checks: once a run's
+    # dual is decoded, the audit needs neither scaled profits nor packed ints.
+    work, _ = to_greedy_form(gen_gap_family(1).instance)
+    thr = find_threshold(work)
+    runs = [run for run in (thr.exact_hit, thr.below, thr.at_or_above, thr.at_star)
+            if run is not None]
+    for run in runs:
+        run.dual  # decoded here, before the kernel refuses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit read kernel data")
+
+    monkeypatch.setattr(Instance, "scaled_profits", refuse)
+    monkeypatch.setattr(Instance, "scaled_costs", refuse)
+    monkeypatch.setattr(kolen_module, "_packed_dual_update", refuse)
+    for run in runs:
+        assert audit_optimality(work, run.dual.lam, run).ok
+
+
 def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):
     packed_update = kolen_module._packed_dual_update
+    sabotaged_sets = []
 
     def one_wrong_residual(instance, lam):
         packed = packed_update(instance, lam)
@@ -162,10 +247,14 @@ def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):
         if j is None:
             return packed
         residuals[j] += 1  # still positive, so tight sets and pruning stay
+        sabotaged_sets.append(j)
         return replace(packed, residuals=residuals)
 
     instance = gen_gap_family(1).instance
     solve_partial_tbc(instance)
     monkeypatch.setattr(kolen_module, "_packed_dual_update", one_wrong_residual)
-    with pytest.raises(AuditError, match="dual_optimality"):
+    with pytest.raises(AuditError) as failure:
         solve_partial_tbc(instance)
+    named = [f"dual_optimality_{side}: clause d: residual mismatch at set {j}"
+             for side in ("low", "high") for j in sabotaged_sets]
+    assert any(text in str(failure.value) for text in named), str(failure.value)

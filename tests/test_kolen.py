@@ -6,8 +6,10 @@ import pytest
 
 from pcover.arith import DeltaRational
 from pcover.errors import InputError
-from pcover.kolen import (audit_optimality, dual_update, kolen,
-                          prize_collecting_value, reverse_delete, tight_sets)
+from kolen_reference import reference_audit_optimality
+from pcover.kolen import (DualSolution, KolenResult, audit_optimality,
+                          dual_update, kolen, prize_collecting_value,
+                          reverse_delete, tight_sets)
 from pcover.model import Cover, covered_profit, make_instance
 from pcover.pipeline import brute_force_prize_collecting, to_greedy_form
 from pcover.generators import corpus_instance
@@ -96,21 +98,59 @@ def test_audit_passes_on_honest_runs():
 
 def test_audit_catches_redundant_tight_set():
     # Tamper: put both tight sets in the pruned cover; they share element 0
-    # whose dual is positive, so the at-most-once clause must fire.
+    # whose dual is positive, and the extra cost already breaks clause (a).
     res = kolen(TWO_BY_TWO, 10)
-    from pcover.kolen import KolenResult
     tampered = KolenResult(pruned=Cover.of([0, 1]), tight=res.tight, dual=res.dual)
     report = audit_optimality(TWO_BY_TWO, 10, tampered)
-    assert not report.ok and report.failed_clause in ("a", "b")
+    assert (report.ok, report.failed_clause, report.detail) == (
+        False, "a", "cost+penalty 5 != dual total 3")
 
 
 def test_audit_catches_uncovered_below_cap():
-    # Tamper: drop the only pruned set; element 1's dual sits below its cap.
+    # Tamper: drop the only pruned set; both penalties now count in (a).
     res = kolen(TWO_BY_TWO, 10)
-    from pcover.kolen import KolenResult
     tampered = KolenResult(pruned=Cover.of([]), tight=res.tight, dual=res.dual)
     report = audit_optimality(TWO_BY_TWO, 10, tampered)
-    assert not report.ok and report.failed_clause in ("a", "c")
+    assert (report.ok, report.failed_clause, report.detail) == (
+        False, "a", "cost+penalty 20 != dual total 3")
+
+
+ONE_SET_ONE_ELEMENT = make_instance([[1]], [2], [1], 0)
+ONE_SET_TWO_ELEMENTS = make_instance([[1], [1]], [2], [1, 1], 0)
+TWO_DISJOINT_SETS = make_instance([[1, 0], [0, 1]], [1, 1], [1, 1], 0)
+
+
+# Hand-built duals, each passing every clause before the one it breaks:
+# (instance, lambda, pruned sets, y, stored residuals, clause, detail).
+SABOTAGED = (
+    (ONE_SET_ONE_ELEMENT, 10, [0], [1], [1],
+     "a", "cost+penalty 2 != dual total 1"),
+    (TWO_BY_TWO, 10, [0, 1], [2, 3], [0, -2],
+     "b", "element 0 with positive dual covered 2 times"),
+    (TWO_DISJOINT_SETS, DeltaRational(2, -1), [0], [DeltaRational(2, -1), 1],
+     [DeltaRational(-1, 1), 0],
+     "c", "uncovered element 1 has dual 1 below cap 2-1d"),
+    (TWO_BY_TWO, 10, [1], [2, 1], [0, 1],
+     "d", "residual mismatch at set 1"),
+    (TWO_BY_TWO, 10, [1], [3, 0], [-1, 0],
+     "d", "negative residual at set 0"),
+    (ONE_SET_TWO_ELEMENTS, 5, [0], [3, -1], [0],
+     "d", "negative dual at element 1"),
+    (ONE_SET_TWO_ELEMENTS, DeltaRational(F(1, 2), 1), [0], [2, 0], [0],
+     "d", "dual above cap at element 0"),
+)
+
+
+@pytest.mark.parametrize("instance, lam, pruned, y, residuals, clause, detail",
+                         SABOTAGED, ids=["a", "b", "c", "d-mismatch", "d-residual",
+                                         "d-negative-dual", "d-above-cap"])
+def test_audit_names_each_clause(instance, lam, pruned, y, residuals, clause, detail):
+    dual = DualSolution(tuple(map(DeltaRational.of, y)), DeltaRational.of(lam),
+                        tuple(map(DeltaRational.of, residuals)))
+    run = KolenResult(pruned=Cover.of(pruned), tight=Cover.of(pruned), dual=dual)
+    report = audit_optimality(instance, lam, run)
+    assert (report.ok, report.failed_clause, report.detail) == (False, clause, detail)
+    assert report == reference_audit_optimality(instance, lam, run)
 
 
 def test_formal_multiplier_runs():

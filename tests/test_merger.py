@@ -185,3 +185,5 @@ def test_tampered_cover_breaks_bound():
     trace = MergeTrace(target=F(1), final=Cover.of(range(12)))
     audit = audit_merge_bound(trace, inst, F(1, 10), k_max=3)
     assert not audit.ok
+    # the first k that breaks: 12 > 2 * 1/10 + 1 * 1
+    assert (audit.failed_clause, audit.detail) == ("k = 1", "cost 12 above bound 6/5")

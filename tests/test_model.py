@@ -54,6 +54,13 @@ def test_scaled_profits_are_exact_and_kept():
     assert make_instance([], [], [], 0).scaled_profits() == (1, ())
 
 
+def test_scaled_costs_are_exact_and_kept():
+    inst = make_instance([[1, 0, 1]], [F(5, 6), 0, F(7, 4)], [1], 0)
+    assert inst.scaled_costs() == (12, (10, 0, 21))
+    assert inst.scaled_costs() is inst.scaled_costs()
+    assert make_instance([], [], [], 0).scaled_costs() == (1, ())
+
+
 def test_covered_profit_monotone_under_inclusion():
     rng = Lcg(5)
     for seed in range(10):

@@ -11,6 +11,7 @@ from pcover.generators import (Lcg, corpus_instance, gen_blackbox_family,
                                gen_gap_family, gen_random_rectangles,
                                gen_random_tree_instance, reduce_multicut,
                                reduce_rectangle_stabbing)
+from pcover.merger import MergeBoundAudit
 from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
                           covered_profit, make_instance, permute_instance)
 from pcover.pipeline import (absorb_additive_error, audit_corpus_entry,
@@ -296,11 +297,10 @@ def test_corpus_entry_reports_the_solve():
 
 
 def test_corpus_entry_raises_on_failed_solver_audit(monkeypatch, capsys):
-    class Failed:
-        ok = False
-
-    monkeypatch.setattr(pipeline, "audit_merge_bound", lambda *a, **kw: Failed())
-    with pytest.raises(AuditError, match="merge_bound"):
+    failed = MergeBoundAudit(False, (), None, "k = 1", "cost 9 above bound 8")
+    monkeypatch.setattr(pipeline, "audit_merge_bound", lambda *a, **kw: failed)
+    with pytest.raises(AuditError,
+                       match="merge_bound: clause k = 1: cost 9 above bound 8"):
         audit_corpus_entry(1)
     assert cli.main(["experiment", "corpus", "--seeds", "1..2"]) == 4
     assert "merge_bound" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcover.errors import InfeasibleError
 from pcover.generators import corpus_instance
@@ -66,6 +67,46 @@ def test_envelope_random_lines_against_grid_oracle():
         bps = lower_envelope_breakpoints(lines, (F(0), F(4)))
         assert list(bps) == sorted(set(bps))
         grid_check_envelope(lines, (F(0), F(4)), bps)
+
+
+def brute_force_breakpoints(lines, interval):
+    """Every pairwise crossing strictly inside the interval at which two
+    distinct lines attain the minimum."""
+    lo, hi = interval
+    unique = set(lines)
+    out = set()
+    for a1, b1 in unique:
+        for a2, b2 in unique:
+            if b1 <= b2:
+                continue
+            x = F(a2 - a1) / (b1 - b2)
+            if lo < x < hi:
+                best = min(a + b * x for a, b in unique)
+                if sum(1 for a, b in unique if a + b * x == best) >= 2:
+                    out.add(x)
+    return tuple(sorted(out))
+
+
+small_ints = st.integers(-6, 6)  # small, so that three lines often meet in one point
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=7),
+       scale=st.integers(1, 36),
+       ends=st.tuples(st.fractions(-8, 8, max_denominator=12),
+                      st.fractions(-8, 8, max_denominator=12)).filter(
+                          lambda e: e[0] != e[1]))
+# Three lines meet at 1; the envelope leaves on the steepest, and a line
+# crossing the middle one at 2 stays above it.
+@example(lines=[(0, 0), (2, -2), (4, -4), (4, -3)], scale=2, ends=(F(0), F(5)))
+def test_envelope_int_lines_match_scaled_fraction_lines_and_brute_force(
+        lines, scale, ends):
+    interval = tuple(sorted(ends))
+    from_ints = lower_envelope_breakpoints(lines, interval)
+    scaled = [(F(a, scale), F(b, scale)) for a, b in lines]
+    assert from_ints == lower_envelope_breakpoints(scaled, interval)
+    assert from_ints == brute_force_breakpoints(lines, interval)
+    assert all(isinstance(x, F) for x in from_ints)
 
 
 def test_threshold_single_set_worked_example():

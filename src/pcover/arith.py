@@ -6,12 +6,22 @@ the value ``value + delta * d`` for a formal infinitesimal ``d > 0``,
 ordered lexicographically.  The infinitesimal is never instantiated as a
 small concrete number, so perturbed multiplier runs need no tolerance
 tuning: ties are decided exactly by the delta coefficient.
+
+`fraction_sum` adds Fractions (and ints) exactly as `sum(values,
+Fraction(0))` does, but keeps one numerator over the running lcm of the
+denominators and normalises once, at the end, instead of building a
+normalised Fraction per term.  It serves the checker and model side
+(audits, LP certificate predicates, instance totals); the solving kernel
+(`kolen._packed_dual_update`, `threshold._SymbolicPass`, the
+`merger.MergeContext` recursion) never calls it, so a fault in it cannot
+be shared by the kernel and the checker that checks it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -19,10 +29,35 @@ RationalLike = Union[int, Fraction, str]
 
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce to Fraction, rejecting floats to keep the arithmetic exact."""
+    """Coerce to Fraction, rejecting floats to keep the arithmetic exact.
+
+    A Fraction is returned as it is: it is immutable, so sharing it is safe.
+    """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"floats are not allowed in exact arithmetic: {x!r}")
     return Fraction(x)
+
+
+def fraction_sum(values: Iterable[Fraction | int]) -> Fraction:
+    """Exact sum of Fractions and ints, equal to ``sum(values, Fraction(0))``.
+
+    The numerator is kept over the running lcm of the denominators, and one
+    Fraction is built (and normalised) at the end.
+    """
+    num, den = 0, 1
+    for v in values:
+        d = v.denominator
+        if d == den:
+            num += v.numerator
+        elif not den % d:
+            num += v.numerator * (den // d)
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + v.numerator * (den // g)
+            den *= d // g
+    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -53,6 +88,14 @@ class DeltaRational:
         self.value = as_rational(value)
         self.delta = as_rational(delta)
 
+    @classmethod
+    def of_fractions(cls, value: Fraction, delta: Fraction) -> "DeltaRational":
+        """Build from two Fractions as they are, with no coercion."""
+        self = object.__new__(cls)
+        self.value = value
+        self.delta = delta
+        return self
+
     @staticmethod
     def of(x: "DeltaRational | RationalLike") -> "DeltaRational":
         if isinstance(x, DeltaRational):
@@ -61,25 +104,27 @@ class DeltaRational:
 
     def __add__(self, other):
         other = DeltaRational.of(other)
-        return DeltaRational(self.value + other.value, self.delta + other.delta)
+        return DeltaRational.of_fractions(self.value + other.value,
+                                          self.delta + other.delta)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = DeltaRational.of(other)
-        return DeltaRational(self.value - other.value, self.delta - other.delta)
+        return DeltaRational.of_fractions(self.value - other.value,
+                                          self.delta - other.delta)
 
     def __rsub__(self, other):
         return DeltaRational.of(other) - self
 
     def __neg__(self):
-        return DeltaRational(-self.value, -self.delta)
+        return DeltaRational.of_fractions(-self.value, -self.delta)
 
     def __mul__(self, scalar):
         if isinstance(scalar, DeltaRational):
             raise TypeError("cannot multiply two DeltaRationals (d**2 is undefined)")
         s = as_rational(scalar)
-        return DeltaRational(self.value * s, self.delta * s)
+        return DeltaRational.of_fractions(self.value * s, self.delta * s)
 
     __rmul__ = __mul__
 

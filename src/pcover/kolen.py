@@ -28,18 +28,22 @@ eagerly, and `KolenResult.dual` decodes the DualSolution only when it is
 read.  `audit_optimality` is the checker, kept independent of this kernel:
 it reads the decoded DeltaRationals and the instance's Fractions, never
 the packed ints or the scaled profits, and works on plain Fraction value
-and delta parts.
+and delta parts, added with `arith.fraction_sum`.  The kernel never calls
+`fraction_sum`, so a fault in it cannot hide a fault of the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .arith import DeltaRational
+from .arith import DeltaRational, fraction_sum
 from .errors import InputError
 from .model import Cover, Instance, bit_indices, covered_element_mask
 from .tb import is_gamma_free
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,11 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class _PackedDual:
-    """A dual solution as packed ints ``V * base + E``, |E| <= base // 2."""
+    """A dual solution as packed ints ``V * base + E``, |E| <= base // 2.
+
+    `decode` builds each DeltaRational from the two Fractions it makes, with
+    no re-coercion, and shares one zero Fraction among the zero delta parts.
+    """
 
     lam: DeltaRational
     y: list[int]
@@ -71,11 +79,14 @@ class _PackedDual:
 
     def decode(self) -> DualSolution:
         half, base = self.base // 2, self.base
+        value_scale, delta_scale = self.value_scale, self.delta_scale
+        exact = DeltaRational.of_fractions
 
         def unpack(x: int) -> DeltaRational:
             v = (x + half) // base
-            return DeltaRational(Fraction(v, self.value_scale),
-                                 Fraction(x - v * base, self.delta_scale))
+            e = x - v * base
+            return exact(Fraction(v, value_scale),
+                         Fraction(e, delta_scale) if e else _ZERO)
 
         return DualSolution(tuple(map(unpack, self.y)), self.lam,
                             tuple(map(unpack, self.residuals)))
@@ -207,8 +218,9 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
 
     The check reads only the decoded DeltaRationals and the instance's
     Fractions: each value is handled as its value part and its delta part,
-    each cap lambda * p_i is computed once, and sums are plain Fraction
-    sums.  Nothing here touches the packed ints of the kernel it checks.
+    each cap lambda * p_i is computed once, and sums are `fraction_sum`s
+    (exact, one Fraction built per sum) with zero terms dropped.  Nothing
+    here touches the packed ints of the kernel it checks.
     """
     lam = DeltaRational.of(lam)
     dual = result.dual
@@ -216,13 +228,14 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
     y_value = [yi.value for yi in dual.y]
     y_delta = [yi.delta for yi in dual.y]
     cap_value = [lam.value * p for p in instance.profits]
-    cap_delta = [lam.delta * p for p in instance.profits]
+    cap_delta = ([lam.delta * p for p in instance.profits] if lam.delta
+                 else [lam.delta] * instance.n)
     uncovered = [i for i in range(instance.n) if not covered >> i & 1]
 
-    lhs = (sum(map(instance.costs.__getitem__, result.pruned.sets), Fraction(0))
-           + sum(map(cap_value.__getitem__, uncovered)),
-           sum(map(cap_delta.__getitem__, uncovered), Fraction(0)))
-    rhs = (sum(y_value, Fraction(0)), sum(y_delta, Fraction(0)))
+    lhs = (fraction_sum(chain(map(instance.costs.__getitem__, result.pruned.sets),
+                              map(cap_value.__getitem__, uncovered))),
+           fraction_sum(filter(None, map(cap_delta.__getitem__, uncovered))))
+    rhs = (fraction_sum(filter(None, y_value)), fraction_sum(filter(None, y_delta)))
     if lhs != rhs:
         return OptimalityAudit(False, "a", f"cost+penalty {DeltaRational(*lhs)} "
                                            f"!= dual total {DeltaRational(*rhs)}")
@@ -247,8 +260,8 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
     for j, (stored, c, mask) in enumerate(zip(dual.residuals, instance.costs,
                                               instance.col_masks)):
         members = bit_indices(mask)
-        fresh = (c - sum(map(y_value.__getitem__, members)),
-                 -sum(map(y_delta.__getitem__, members)))
+        fresh = (c - fraction_sum(map(y_value.__getitem__, members)),
+                 -fraction_sum(filter(None, map(y_delta.__getitem__, members))))
         if (stored.value, stored.delta) != fresh:
             return OptimalityAudit(False, "d", f"residual mismatch at set {j}")
         if fresh < (0, 0):
@@ -266,9 +279,7 @@ def prize_collecting_value(instance: Instance, lam, result: KolenResult) -> Delt
     """cost(pruned) + lambda * (uncovered profit), as a DeltaRational."""
     lam = DeltaRational.of(lam)
     covered = covered_element_mask(instance, result.pruned)
-    value = DeltaRational(sum((instance.costs[j] for j in result.pruned.sets),
-                              Fraction(0)))
-    for i in range(instance.n):
-        if not (covered >> i & 1):
-            value = value + lam * instance.profits[i]
-    return value
+    uncovered = fraction_sum(p for i, p in enumerate(instance.profits)
+                             if p and not covered >> i & 1)
+    return lam * uncovered + fraction_sum(map(instance.costs.__getitem__,
+                                              result.pruned.sets))

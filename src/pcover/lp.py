@@ -14,14 +14,19 @@ and `solve_dual` its dual
 
 The simplex serves the rho-separable reduction (its input is not totally
 balanced), `pcover verify lp-duality` and the tests.  The totally balanced
-solve certifies the LP optimum with the predicates below instead.
+solve certifies the LP optimum with the predicates below instead.  They
+and `mixed_cover_point` add with `arith.fraction_sum` (one Fraction per
+sum, zero terms dropped); `tests/lp_reference.py` keeps the plain-sum
+versions that referee them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
+from .arith import fraction_sum
 from .errors import InfeasibleError, InternalInvariantError
 from .model import Cover, Instance, bit_indices, covered_element_mask
 
@@ -221,13 +226,18 @@ def mixed_cover_point(instance: Instance, low: Cover,
         cov_low, cov_high = map(instance.profit_of_element_mask, masks)
         a = (cov_high - instance.target) / (cov_high - cov_low)
         weights = (a, ONE - a)
-    x = [ZERO] * instance.m
-    for weight, cover in zip(weights, covers):
+    # Each x_j and r_i is the total weight of a subset of the covers: sum
+    # each subset once, indexed by the bit pattern of the covers it holds.
+    totals = [fraction_sum(w for k, w in enumerate(weights) if pattern >> k & 1)
+              for pattern in range(1 << len(covers))]
+    x_pattern = [0] * instance.m
+    for k, cover in enumerate(covers):
         for j in cover.sets:
-            x[j] += weight
-    r = [sum((w for w, mask in zip(weights, masks) if not mask >> i & 1), ZERO)
+            x_pattern[j] |= 1 << k
+    x = [totals[pattern] for pattern in x_pattern]
+    r = [totals[sum(1 << k for k, mask in enumerate(masks) if not mask >> i & 1)]
          for i in range(instance.n)]
-    value = sum((c * v for c, v in zip(instance.costs, x)), ZERO)
+    value = fraction_sum(c * v for c, v in zip(instance.costs, x) if v)
     return FractionalSolution(tuple(x), tuple(r), value)
 
 
@@ -238,16 +248,17 @@ def is_primal_feasible(instance: Instance, x, r) -> bool:
     if any(v < 0 for v in x) or any(v < 0 for v in r):
         return False
     for ri, mask in zip(r, instance.row_masks):
-        if sum((x[j] for j in bit_indices(mask)), ri) < 1:
+        if fraction_sum(filter(None, chain((ri,), map(x.__getitem__,
+                                                      bit_indices(mask))))) < 1:
             return False
     budget = instance.total_profit() - instance.target
-    return sum((p * v for p, v in zip(instance.profits, r)), ZERO) <= budget
+    return fraction_sum(p * v for p, v in zip(instance.profits, r) if v) <= budget
 
 
 def dual_value(instance: Instance, y, lam) -> Fraction:
     """Objective of a (y, lam) pair: 1.y - (p(U) - P) lam."""
     budget = instance.total_profit() - instance.target
-    return sum(y, ZERO) - budget * lam
+    return fraction_sum(filter(None, y)) - budget * lam
 
 
 def is_dual_feasible(instance: Instance, y, lam) -> bool:
@@ -255,6 +266,6 @@ def is_dual_feasible(instance: Instance, y, lam) -> bool:
     if any(v < 0 for v in y) or lam < 0:
         return False
     for c, mask in zip(instance.costs, instance.col_masks):
-        if sum((y[i] for i in bit_indices(mask)), ZERO) > c:
+        if fraction_sum(filter(None, map(y.__getitem__, bit_indices(mask)))) > c:
             return False
     return all(y[i] <= lam * instance.profits[i] for i in range(instance.n))

@@ -13,8 +13,9 @@ graph shape, alternating edge occupancy, entry preconditions, the
 coverage-change identity at each subtree flip, and the factor-3 offset
 decay at multi-child splits.  The recursion compares exact ints, the
 profits, target and benefits scaled by L (the lcm of the profit
-denominators and the target's denominator); its trace and messages are
-Fractions in original units.  `merge` checks its entry and its result
+denominators and the target's denominator) and the costs scaled by L_c
+(`Instance.scaled_costs`); its trace and messages are Fractions in
+original units.  `merge` checks its entry and its result
 with `covered_profit` on Fractions, and the final cost bound is
 re-checked by `audit_merge_bound`.
 """
@@ -196,9 +197,10 @@ class MergeContext:
 
     The recursion runs on ints: profits, the target and the benefits are
     scaled by L, the lcm of the profit denominators and the target's
-    denominator, so int equality and order are exactly those of the
-    Fractions.  Every value that leaves the context (trace records and
-    error messages) is a Fraction in original units.
+    denominator, and costs by L_c, the lcm of the cost denominators, so
+    int equality and order are exactly those of the Fractions.  Every
+    value that leaves the context (trace records and error messages) is a
+    Fraction in original units.
 
     `increase` and `decrease` mutate nothing outside the trace; covers are
     passed and returned as frozensets of set indices.
@@ -212,6 +214,7 @@ class MergeContext:
         self.scale = lcm(l_p, target.denominator)
         factor = self.scale // l_p
         self.profits = [p * factor for p in profits]
+        self.costs = instance.scaled_costs()[1]
         self.target = _scaled(target, self.scale, "target")
         self.benefits = {j: _scaled(b, self.scale, f"benefit of set {j}")
                          for j, b in benefits.items()}
@@ -230,8 +233,9 @@ class MergeContext:
             self._coverage[mask] = sum(map(self.profits.__getitem__, bit_indices(mask)))
         return self._coverage[mask]
 
-    def cost(self, D) -> Fraction:
-        return cover_cost(self.instance, Cover.of(D))
+    def cost(self, D) -> int:
+        """Cost of D scaled by L_c (`Instance.scaled_costs`), for comparison."""
+        return sum(map(self.costs.__getitem__, D))
 
     def benefit(self, j: int, D) -> int:
         return relative_benefit(self.graph, j, D, self.benefits)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .arith import as_rational
+from .arith import as_rational, fraction_sum
 from .errors import InputError
 
 MatrixRows = tuple[tuple[int, ...], ...]
@@ -139,15 +139,16 @@ class Instance:
         return self.element_sets()[i]
 
     def total_profit(self) -> Fraction:
-        return sum(self.profits, Fraction(0))
+        return fraction_sum(self.profits)
 
     def coverable_profit(self) -> Fraction:
         """Total profit of elements that belong to at least one set."""
-        return sum((p for p, mask in zip(self.profits, self.row_masks) if mask),
-                   Fraction(0))
+        return fraction_sum(p for p, mask in zip(self.profits, self.row_masks)
+                            if mask and p)
 
     def profit_of_element_mask(self, mask: int) -> Fraction:
-        return sum((self.profits[i] for i in bit_indices(mask)), Fraction(0))
+        return fraction_sum(filter(None, map(self.profits.__getitem__,
+                                             bit_indices(mask))))
 
     def max_cost(self) -> Fraction:
         return max(self.costs, default=Fraction(0))
@@ -199,7 +200,7 @@ def checked_instance(row_masks: Sequence[int], costs: Sequence,
         if p < 0:
             raise InputError(f"negative profit {p} at element {i}")
     target_r = as_rational(target)
-    total = sum(profit_t, Fraction(0))
+    total = fraction_sum(profit_t)
     if target_r < 0:
         raise InputError(f"negative target {target_r}")
     if target_r > total:
@@ -255,7 +256,7 @@ def covered_profit(instance: Instance, cover: Cover) -> Fraction:
 
 def cover_cost(instance: Instance, cover: Cover) -> Fraction:
     _check_cover(instance, cover)
-    return sum((instance.costs[j] for j in cover.sets), Fraction(0))
+    return fraction_sum(map(instance.costs.__getitem__, cover.sets))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,10 @@ class SolveReport:
 
     `work` is the greedy-form instance that was solved and `threshold` its
     threshold search; like `timings` they stay out of the payload.
+    `timings` holds wall seconds per bucket: `greedy_form`, `threshold`,
+    `merge` (the kept runs' audits, the merger graph and the merge),
+    `certificate` (cover mapping, `feasible`, `strong_duality`,
+    `single_block_bound` and the oracle) and `total`.
     """
 
     cover: Cover
@@ -234,7 +238,8 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
         kolen_calls=thr.kolen_calls, single_block=single_block,
         audits=audits, ratio_vs_oracle=ratio, oracle_cost=oracle_cost,
         timings={"greedy_form": t_sgf - t0, "threshold": t_thr - t_sgf,
-                 "merge": t_merge - t_thr, "total": t_end - t0},
+                 "merge": t_merge - t_thr, "certificate": t_end - t_merge,
+                 "total": t_end - t0},
         work=work, threshold=thr)
 
 

@@ -5,9 +5,10 @@ DeltaRational values, one comparison and one subtraction at a time.
 `reference_dual_lines` is the symbolic dual pass on Fraction lines that
 restarts from element 0 on every call.  `reference_audit_optimality` is
 the optimality audit on DeltaRational values, every cap and residual
-rebuilt where it is used.  The tests referee the packed-int kernel, the
-resumed int pass and the audit against them; nothing in `src` imports
-this module.
+rebuilt where it is used.  `reference_prize_collecting_value` adds one
+DeltaRational per uncovered element.  The tests referee the packed-int
+kernel, the resumed int pass, the audit and the prize-collecting value
+against them; nothing in `src` imports this module.
 """
 
 from __future__ import annotations
@@ -139,3 +140,16 @@ def reference_audit_optimality(instance, lam, result):
             return OptimalityAudit(False, "d", f"dual above cap at element {i}")
 
     return OptimalityAudit(True)
+
+
+def reference_prize_collecting_value(instance, lam, result):
+    """cost(pruned) + lambda * (uncovered profit), one DeltaRational
+    addition per uncovered element."""
+    lam = DeltaRational.of(lam)
+    covered = covered_element_mask(instance, result.pruned)
+    value = DeltaRational(sum((instance.costs[j] for j in result.pruned.sets),
+                              Fraction(0)))
+    for i in range(instance.n):
+        if not (covered >> i & 1):
+            value = value + lam * instance.profits[i]
+    return value

@@ -3,9 +3,21 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pcover.arith import DeltaRational, as_rational, delta_cmp, format_rational, parse_rational
+from pcover.arith import (DeltaRational, as_rational, delta_cmp, format_rational,
+                          fraction_sum, parse_rational)
 from pcover.generators import Lcg
+
+# Denominators that share factors (4, 6, 12, 2**20), are coprime (7, 11,
+# 13, 97) or are large, so the running lcm both stays and grows.
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 11, 12, 13, 97, 2 ** 20, 3 ** 12, 7 * 11 * 13)
+TERMS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.just(0),
+    st.just(F(0)),
+    st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.sampled_from(DENOMINATORS)),
+)
 
 
 def test_rational_round_trip_property():
@@ -22,6 +34,25 @@ def test_rational_is_canonical():
     x = F(6, 4)
     assert x.numerator == 3 and x.denominator == 2
     assert F(-6, 4).denominator == 2
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(TERMS, max_size=30))
+@example([])
+@example([F(1, 3), F(-1, 3)])
+@example([F(1, 2), F(1, 3), F(1, 6)])
+def test_fraction_sum_matches_fraction_addition(values):
+    total = fraction_sum(values)
+    assert type(total) is F
+    assert total == sum(values, F(0))
+
+
+def test_as_rational_returns_a_fraction_as_it_is():
+    x = F(3, 7)
+    assert as_rational(x) is x
+    assert as_rational(3) == F(3) and as_rational("3/7") == x
+    with pytest.raises(TypeError):
+        as_rational(0.5)
 
 
 def test_floats_rejected():

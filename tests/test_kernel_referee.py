@@ -3,6 +3,8 @@ optimality audit, refereed against the direct DeltaRational
 implementations in kolen_reference."""
 
 import importlib
+import inspect
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -10,12 +12,13 @@ import pytest
 
 from kolen_reference import (reference_audit_optimality, reference_dual_lines,
                              reference_kolen)
-from pcover import threshold
-from pcover.arith import DeltaRational
+from pcover import arith, lp, model, threshold
+from pcover.arith import DeltaRational, fraction_sum
 from pcover.errors import AuditError
 from pcover.generators import Lcg, corpus_instance, gen_gap_family
 from pcover.kolen import (DualSolution, KolenResult, audit_optimality,
                           dual_update, kolen, reverse_delete)
+from pcover.merger import MergeContext
 from pcover.model import Cover, Instance, bit_indices, make_instance
 from pcover.pipeline import CORPUS_LAMBDAS, solve_partial_tbc, to_greedy_form
 from pcover.threshold import find_threshold
@@ -234,6 +237,32 @@ def test_audit_reads_no_kernel_data(monkeypatch):
     monkeypatch.setattr(kolen_module, "_packed_dual_update", refuse)
     for run in runs:
         assert audit_optimality(work, run.dual.lam, run).ok
+
+
+def test_kernel_never_calls_fraction_sum(monkeypatch):
+    # fraction_sum serves the checker, so a fault in it cannot be shared by
+    # the kernel it checks: the packed Kolen run, the symbolic pass and the
+    # merge recursion never call it, directly or through the model.
+    kernel = {kolen_module._packed_dual_update.__code__,
+              threshold._SymbolicPass.advance.__code__}
+    kernel.update(f.__code__ for f in vars(MergeContext).values()
+                  if inspect.isfunction(f))
+    calls = []
+
+    def checked_sum(values):
+        frame = sys._getframe(1)
+        while frame is not None:
+            assert frame.f_code not in kernel, f"{frame.f_code.co_name} summed"
+            frame = frame.f_back
+        calls.append(1)
+        return fraction_sum(values)
+
+    for module in (arith, model, lp, kolen_module):
+        monkeypatch.setattr(module, "fraction_sum", checked_sum)
+    assert solve_partial_tbc(gen_gap_family(2).instance).splits > 0
+    for seed in range(20):
+        solve_partial_tbc(corpus_instance(seed))
+    assert calls  # the checker side did sum through the wrapper
 
 
 def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):

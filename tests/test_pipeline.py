@@ -146,8 +146,10 @@ def test_rho_separable_multicut_bound():
 def test_rho_separable_timings_include_its_lp():
     inst, dec = reduce_multicut(gen_random_tree_instance(1))
     timings = solve_rho_separable(inst, dec, 4).timings
-    assert set(timings) == {"greedy_form", "threshold", "merge", "lp", "total"}
-    inner = timings["greedy_form"] + timings["threshold"] + timings["merge"]
+    assert set(timings) == {"greedy_form", "threshold", "merge", "certificate",
+                            "lp", "total"}
+    inner = (timings["greedy_form"] + timings["threshold"] + timings["merge"]
+             + timings["certificate"])
     assert timings["total"] >= timings["lp"] + inner
 
 

@@ -1,6 +1,6 @@
 """Exact-arithmetic laboratory for partial covering over totally balanced matrices."""
 
-from .arith import DeltaRational, Rational, delta_cmp, format_rational, parse_rational
+from .arith import DeltaRational, Rational, format_rational, parse_rational
 from .errors import (AuditError, InfeasibleError, InputError,
                      InternalInvariantError, PCoverError, SizeGuardError)
 from .generators import (BlackboxFamily, GapFamily, RectangleInstance,

@@ -175,9 +175,3 @@ class DeltaRational:
             return format_rational(self.value)
         sign = "+" if self.delta > 0 else "-"
         return f"{format_rational(self.value)}{sign}{format_rational(abs(self.delta))}d"
-
-
-def delta_cmp(a: DeltaRational, b: DeltaRational) -> int:
-    """Three-way lexicographic comparison: -1, 0, or +1."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)

@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
     if check == "lp-duality":
         instance = formats.parse_instance(_read(args.input))
         primal = solve_lp(instance)
-        dual = solve_dual(instance)
+        dual = solve_dual(instance, primal)
         ok = primal.value == dual.value
         print(f"primal={format_rational(primal.value)} "
               f"dual={format_rational(dual.value)} {'PASS' if ok else 'FAIL'}")

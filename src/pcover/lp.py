@@ -2,15 +2,23 @@
 
 A dense two-phase simplex over `fractions.Fraction` with Bland's pivot
 rule (guaranteed termination, no tolerances).  Desk-scale only: the
-tableau is a plain list of lists and every pivot touches all of it.
+tableau is a plain list of lists, its last row the objective row, and
+every pivot walks all of it.
 
 `solve_lp` solves
 
     min c.x   s.t.  A x + r >= 1,  p.r <= p(U) - P,  x, r >= 0
 
-and `solve_dual` its dual
+in one simplex run and reads an optimal solution of its dual
 
-    max 1.y - (p(U) - P) lam   s.t.  A^T y <= c,  y <= lam p,  y, lam >= 0.
+    max 1.y - (p(U) - P) lam   s.t.  A^T y <= c,  y <= lam p,  y, lam >= 0
+
+off the final objective row: y_i is the reduced cost of row i's surplus
+column, lam that of the budget row's slack column.  `solve_dual` is the
+certificate step: it checks those duals with `is_dual_feasible` and
+returns their objective, which its callers compare with the primal
+value.  `tests/lp_reference.py` keeps a second simplex run on the dual
+program as the referee.
 
 The simplex serves the rho-separable reduction (its input is not totally
 balanced), `pcover verify lp-duality` and the tests.  The totally balanced
@@ -38,62 +46,45 @@ ONE = Fraction(1)
 class LPOutcome:
     x: tuple[Fraction, ...]
     value: Fraction
+    slack_costs: tuple[Fraction, ...]
 
 
 def solve_linear_program(costs, constraints) -> LPOutcome:
     """Minimize costs.x subject to rows (coeffs, rel, rhs), x >= 0.
 
-    rel is one of '<=', '>=', '=='.  Raises InfeasibleError when no
-    feasible point exists and InternalInvariantError on an unbounded
-    objective (impossible for the programs built in this package).
+    rel is '<=' or '>='.  Each row gets a slack ('<=') or surplus ('>=')
+    column, and `slack_costs` lists their final reduced costs in row
+    order: the optimal dual of a '>=' row, and minus that of a '<=' row.
+    Raises InfeasibleError when no feasible point exists and
+    InternalInvariantError on an unbounded objective (impossible for the
+    programs built in this package).
     """
     num_x = len(costs)
+    m = len(constraints)
+    total = num_x + m
     rows = []
-    rels = []
-    for coeffs, rel, rhs in constraints:
+    for r, (coeffs, rel, rhs) in enumerate(constraints):
         if len(coeffs) != num_x:
             raise InternalInvariantError("constraint arity mismatch")
-        if rel not in ("<=", ">=", "=="):
+        if rel not in ("<=", ">="):
             raise InternalInvariantError(f"bad relation {rel!r}")
-        rows.append([Fraction(v) for v in coeffs] + [Fraction(rhs)])
-        rels.append(rel)
-
-    # Append one slack per inequality.
-    num_slack = sum(1 for rel in rels if rel != "==")
-    total = num_x + num_slack
-    slack_at = {}
-    k = 0
-    for r, rel in enumerate(rels):
-        body = rows[r][:-1] + [ZERO] * num_slack + [rows[r][-1]]
-        if rel != "==":
-            body[num_x + k] = ONE if rel == "<=" else -ONE
-            slack_at[r] = num_x + k
-            k += 1
-        rows[r] = body
-
-    # Make every right-hand side nonnegative.
-    for r in range(len(rows)):
-        if rows[r][-1] < 0:
-            rows[r] = [-v for v in rows[r]]
-
-    # One artificial per row; phase 1 minimizes their sum.
-    m = len(rows)
-    art_start = total
-    for r in range(m):
-        rows[r] = rows[r][:-1] + [ONE if i == r else ZERO for i in range(m)] + [rows[r][-1]]
-    width = total + m
-    basis = [art_start + r for r in range(m)]
-
-    phase1_cost = [ZERO] * total + [ONE] * m
-    _simplex(rows, basis, phase1_cost, width)
-    art_sum = sum((rows[r][-1] for r in range(m) if basis[r] >= art_start), ZERO)
-    if art_sum != 0:
+        row = [Fraction(v) for v in coeffs] + [ZERO] * m
+        row[num_x + r] = ONE if rel == "<=" else -ONE
+        rhs = Fraction(rhs)
+        if rhs < 0:  # make every right-hand side nonnegative
+            row, rhs = [-v for v in row], -rhs
+        # One artificial per row; phase 1 minimizes their sum.
+        rows.append(row + [ONE if i == r else ZERO for i in range(m)] + [rhs])
+    basis = [total + r for r in range(m)]
+    rows.append(_objective_row(rows, basis, [ZERO] * total + [ONE] * m + [ZERO]))
+    _simplex(rows, basis, total + m)
+    if rows[-1][-1] != 0:
         raise InfeasibleError("linear program is infeasible")
 
     # Drive leftover artificial basics out, dropping redundant rows.
     r = 0
-    while r < len(rows):
-        if basis[r] >= art_start:
+    while r < len(basis):
+        if basis[r] >= total:
             pivot_col = next((j for j in range(total) if rows[r][j] != 0), None)
             if pivot_col is None:
                 del rows[r], basis[r]
@@ -102,45 +93,48 @@ def solve_linear_program(costs, constraints) -> LPOutcome:
         r += 1
 
     # Remove artificial columns and run phase 2 on the real objective.
-    rows = [row[:total] + [row[-1]] for row in rows]
-    phase2_cost = [Fraction(c) for c in costs] + [ZERO] * num_slack
-    _simplex(rows, basis, phase2_cost, total)
+    rows = [row[:total] + [row[-1]] for row in rows[:-1]]
+    rows.append(_objective_row(rows, basis,
+                               [Fraction(c) for c in costs] + [ZERO] * (m + 1)))
+    _simplex(rows, basis, total)
 
     x = [ZERO] * total
     for r, b in enumerate(basis):
         x[b] = rows[r][-1]
     solution = tuple(x[:num_x])
     value = sum((c * v for c, v in zip(costs, solution)), ZERO)
-    return LPOutcome(solution, value)
+    return LPOutcome(solution, value, tuple(rows[-1][num_x:total]))
+
+
+def _objective_row(rows, basis, cost):
+    """Reduced costs of `cost` in the basis, and minus its value last."""
+    obj = list(cost)
+    for row, b in zip(rows, basis):
+        if cost[b] != 0:
+            obj = [o - cost[b] * v for o, v in zip(obj, row)]
+    return obj
 
 
 def _pivot(rows, basis, r, c):
+    """Pivot on (r, c), the objective row included; zero entries are skipped."""
     pivot = rows[r][c]
-    rows[r] = [v / pivot for v in rows[r]]
+    rows[r] = [v / pivot if v else v for v in rows[r]]
     for i in range(len(rows)):
         if i != r and rows[i][c] != 0:
             factor = rows[i][c]
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
     basis[r] = c
 
 
-def _simplex(rows, basis, cost, width):
-    """Minimize with Bland's rule on an m x width tableau (rhs appended)."""
+def _simplex(rows, basis, width):
+    """Minimize with Bland's rule; rows[-1] is the objective row."""
     while True:
-        reduced = list(cost[:width])
-        for r, b in enumerate(basis):
-            cb = cost[b]
-            if cb != 0:
-                row = rows[r]
-                for j in range(width):
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-        entering = next((j for j in range(width) if reduced[j] < 0), None)
+        entering = next((j for j in range(width) if rows[-1][j] < 0), None)
         if entering is None:
             return
         leaving = None
         best = None
-        for r in range(len(rows)):
+        for r in range(len(basis)):
             coeff = rows[r][entering]
             if coeff > 0:
                 ratio = rows[r][-1] / coeff
@@ -154,11 +148,17 @@ def _simplex(rows, basis, cost, width):
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Primal relaxation optimum: set variables x, slack variables r."""
+    """Primal relaxation point: set variables x, slack variables r.
+
+    `solve_lp` also sets y and lam, the duals read off its final tableau;
+    `solve_dual` certifies them.
+    """
 
     x: tuple[Fraction, ...]
     r: tuple[Fraction, ...]
     value: Fraction
+    y: tuple[Fraction, ...] | None = None
+    lam: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class DualFractional:
 
 
 def solve_lp(instance: Instance) -> FractionalSolution:
-    """Optimal basic solution of the primal relaxation, exactly."""
+    """Optimal basic solution of the primal relaxation and its tableau duals."""
     n, m = instance.n, instance.m
     costs = list(instance.costs) + [ZERO] * n
     constraints = []
@@ -182,32 +182,23 @@ def solve_lp(instance: Instance) -> FractionalSolution:
     budget = instance.total_profit() - instance.target
     constraints.append(([ZERO] * m + list(instance.profits), "<=", budget))
     out = solve_linear_program(costs, constraints)
-    solution = FractionalSolution(tuple(out.x[:m]), tuple(out.x[m:]), out.value)
+    solution = FractionalSolution(tuple(out.x[:m]), tuple(out.x[m:]), out.value,
+                                  out.slack_costs[:n], out.slack_costs[n])
     if not is_primal_feasible(instance, solution.x, solution.r):
         raise InternalInvariantError("primal LP solution is infeasible")
     return solution
 
 
-def solve_dual(instance: Instance) -> DualFractional:
-    """Optimal dual by exact simplex on the dual program itself."""
-    n, m = instance.n, instance.m
-    # Variables: y_0..y_{n-1}, lam.  Maximize 1.y - (p(U)-P) lam.
-    budget = instance.total_profit() - instance.target
-    costs = [-ONE] * n + [budget]
-    constraints = []
-    for j in range(m):
-        coeffs = [ONE if instance.col_masks[j] >> i & 1 else ZERO for i in range(n)] + [ZERO]
-        constraints.append((coeffs, "<=", instance.costs[j]))
-    for i in range(n):
-        coeffs = [ONE if k == i else ZERO for k in range(n)] + [-instance.profits[i]]
-        constraints.append((coeffs, "<=", ZERO))
-    out = solve_linear_program(costs, constraints)
-    y = out.x[:n]
-    lam = out.x[n]
-    solution = DualFractional(tuple(y), lam, -out.value)
-    if not is_dual_feasible(instance, solution.y, solution.lam):
+def solve_dual(instance: Instance, primal: FractionalSolution) -> DualFractional:
+    """Certify the duals of a `solve_lp` result and return their objective.
+
+    The caller compares the value with `primal.value`: equal objectives of
+    a feasible pair certify that both are optimal.
+    """
+    if primal.y is None or not is_dual_feasible(instance, primal.y, primal.lam):
         raise InternalInvariantError("dual LP solution is infeasible")
-    return solution
+    return DualFractional(primal.y, primal.lam,
+                          dual_value(instance, primal.y, primal.lam))
 
 
 def mixed_cover_point(instance: Instance, low: Cover,

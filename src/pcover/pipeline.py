@@ -256,7 +256,7 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     decomposition.validate_against(instance.rows)
     rho = decomposition.rho
     primal = solve_lp(instance)
-    dual = solve_dual(instance)
+    dual = solve_dual(instance, primal)
     t_lp = time.perf_counter()
     if primal.value != dual.value:
         raise AuditError("strong duality failed on the original relaxation")

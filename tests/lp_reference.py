@@ -5,13 +5,16 @@ These are `pcover.lp`'s `mixed_cover_point`, `is_primal_feasible`,
 Fraction(0))` sums, one `Fraction` addition per term and no zero terms
 dropped.  The tests referee the `fraction_sum` versions against them;
 nothing in `src` imports this module.
+
+`reference_solve_dual` solves the dual program by a simplex run of its
+own, the referee for the duals `solve_lp` reads off its final tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pcover.lp import FractionalSolution
+from pcover.lp import DualFractional, FractionalSolution, solve_linear_program
 from pcover.model import bit_indices, covered_element_mask
 
 ZERO = Fraction(0)
@@ -61,3 +64,15 @@ def reference_is_dual_feasible(instance, y, lam):
         if sum((y[i] for i in bit_indices(mask)), ZERO) > c:
             return False
     return all(y[i] <= lam * instance.profits[i] for i in range(instance.n))
+
+
+def reference_solve_dual(instance):
+    """max 1.y - (p(U) - P) lam  s.t.  A^T y <= c, y <= lam p, y, lam >= 0."""
+    n = instance.n
+    budget = sum(instance.profits, ZERO) - instance.target
+    constraints = [([ONE if mask >> i & 1 else ZERO for i in range(n)] + [ZERO], "<=", c)
+                   for c, mask in zip(instance.costs, instance.col_masks)]
+    constraints += [([ONE if k == i else ZERO for k in range(n)] + [-p], "<=", ZERO)
+                    for i, p in enumerate(instance.profits)]
+    out = solve_linear_program([-ONE] * n + [budget], constraints)
+    return DualFractional(out.x[:n], out.x[n], -out.value)

@@ -86,7 +86,7 @@ def test_criterion_5_gap_family_verified_values():
     fam = gen_gap_family(1)
     lp = solve_lp(fam.instance)
     assert lp.value == 13
-    assert solve_dual(fam.instance).value == 13
+    assert solve_dual(fam.instance, lp).value == 13
     _, ip = brute_force_partial(fam.instance)
     assert ip == 15 == fam.dl + 2  # dl + 2q at q=1
 

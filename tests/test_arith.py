@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcover.arith import (DeltaRational, as_rational, delta_cmp, format_rational,
+from pcover.arith import (DeltaRational, as_rational, format_rational,
                           fraction_sum, parse_rational)
 from pcover.generators import Lcg
 
@@ -67,10 +67,14 @@ def test_parse_format_round_trip():
         assert format_rational(parse_rational(text)) == text
 
 
-def test_delta_cmp_spec_examples():
-    assert delta_cmp(DeltaRational(1, 0), DeltaRational(1, 0)) == 0
-    assert delta_cmp(DeltaRational(1, -5), DeltaRational(1, 0)) == -1
-    assert delta_cmp(DeltaRational(2, -100), DeltaRational(1, 100)) == 1
+def _three_way(a, b):
+    return (a > b) - (a < b)
+
+
+def test_three_way_order_spec_examples():
+    assert _three_way(DeltaRational(1, 0), DeltaRational(1, 0)) == 0
+    assert _three_way(DeltaRational(1, -5), DeltaRational(1, 0)) == -1
+    assert _three_way(DeltaRational(2, -100), DeltaRational(1, 100)) == 1
 
 
 def test_delta_arithmetic():
@@ -113,7 +117,5 @@ def test_order_matches_small_concrete_evaluations():
     d0 = min(gaps) / 2
     for a in sample:
         for b in sample:
-            lex = delta_cmp(a, b)
             va, vb = a.at(d0), b.at(d0)
-            num = (va > vb) - (va < vb)
-            assert num == lex
+            assert _three_way(va, vb) == _three_way(a, b)

@@ -10,7 +10,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from pcover.generators import gen_gap_family
+from pcover.generators import (gen_gap_family, gen_random_tree_instance,
+                               reduce_multicut)
 from pcover.pipeline import solve_partial_tbc
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
@@ -57,3 +58,23 @@ def test_traced_call_sites_are_reached(monkeypatch):
                  "kolen.audit_optimality", "threshold.find_threshold",
                  "pipeline.solve_partial_tbc"):
         assert counts[span] > 0, span
+
+
+def test_traced_lp_call_sites_are_reached_once(monkeypatch):
+    # A rho solve runs one simplex (`solve_lp`) and certifies its tableau
+    # duals (`solve_dual`); both names are traced call sites.
+    tracing = _load_tracing()
+    counts = Counter()
+    for module_name, attr, span in tracing.CALL_SITES:
+        if span not in ("lp.solve_lp", "lp.solve_dual"):
+            continue
+        module = importlib.import_module(module_name)
+
+        def counting(*args, _fn=getattr(module, attr), _span=span, **kwargs):
+            counts[_span] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    pipeline = importlib.import_module("pcover.pipeline")
+    pipeline.solve_rho_separable(*reduce_multicut(gen_random_tree_instance(1)))
+    assert counts == Counter({"lp.solve_lp": 1, "lp.solve_dual": 1})

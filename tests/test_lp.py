@@ -5,10 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcover import pipeline
-from pcover.errors import AuditError, InfeasibleError
+from lp_reference import reference_solve_dual
+from pcover import cli, formats, lp, pipeline
+from pcover.errors import AuditError, InfeasibleError, InternalInvariantError
 from pcover.generators import (corpus_instance, gen_gap_family,
-                               gen_random_tree_instance, reduce_multicut)
+                               gen_random_path_hitting, gen_random_rectangles,
+                               gen_random_tree_instance, reduce_multicut,
+                               reduce_path_hitting, reduce_rectangle_stabbing)
 from pcover.lp import (dual_value, is_dual_feasible, is_primal_feasible,
                        mixed_cover_point, solve_dual, solve_linear_program,
                        solve_lp)
@@ -26,11 +29,20 @@ def test_simplex_small_known_lp():
     assert out.x == (F(8, 5), F(6, 5))
 
 
-def test_simplex_equality_constraint():
-    out = solve_linear_program([F(2), F(3)],
-                               [([F(1), F(1)], "==", F(5)),
-                                ([F(1), F(0)], "<=", F(3))])
-    assert out.value == F(12)  # x=3, y=2
+def test_simplex_slack_costs_are_row_duals():
+    # The '>=' rows of the LP above have duals 2/5 and 1/5.
+    out = solve_linear_program([F(1), F(1)],
+                               [([F(1), F(2)], ">=", F(4)),
+                                ([F(3), F(1)], ">=", F(6))])
+    assert out.slack_costs == (F(2, 5), F(1, 5))
+    # min -x  s.t.  x <= 3: the '<=' row has dual -1, its slack cost 1.
+    out = solve_linear_program([F(-1)], [([F(1)], "<=", F(3))])
+    assert out.x == (F(3),) and out.slack_costs == (F(1),)
+
+
+def test_simplex_rejects_equality_rows():
+    with pytest.raises(InternalInvariantError, match="bad relation"):
+        solve_linear_program([F(1)], [([F(1)], "==", F(1))])
 
 
 def test_simplex_infeasible():
@@ -47,8 +59,9 @@ def test_lp_zero_target():
 
 def test_lp_gap_family_value():
     fam = gen_gap_family(1)
-    assert solve_lp(fam.instance).value == 13
-    assert solve_dual(fam.instance).value == 13
+    primal = solve_lp(fam.instance)
+    assert primal.value == 13
+    assert solve_dual(fam.instance, primal).value == 13
 
 
 def test_embedded_gap_dual_is_feasible_and_optimal():
@@ -61,7 +74,7 @@ def test_strong_duality_and_ip_bound_random():
     for seed in range(12):
         inst = corpus_instance(seed)
         primal = solve_lp(inst)
-        dual = solve_dual(inst)
+        dual = solve_dual(inst, primal)
         assert primal.value == dual.value
         _, ip = brute_force_partial(inst)
         assert primal.value <= ip
@@ -69,8 +82,75 @@ def test_strong_duality_and_ip_bound_random():
 
 def test_dual_p_zero():
     inst = make_instance([[1]], [1], [1], 0)
-    dual = solve_dual(inst)
+    dual = solve_dual(inst, solve_lp(inst))
     assert dual.value == 0
+
+
+def _simplex_instances():
+    for seed in range(1, 51):
+        yield reduce_multicut(gen_random_tree_instance(seed))[0]
+    for seed in range(2, 21):
+        yield reduce_path_hitting(*gen_random_path_hitting(seed))[0]
+    for dimension in (1, 2, 3):
+        for seed in range(1, 11):
+            yield reduce_rectangle_stabbing(gen_random_rectangles(seed, dimension))[0]
+    for seed in range(60):
+        yield corpus_instance(seed)
+
+
+def test_tableau_duals_match_reference_dual_simplex():
+    for inst in _simplex_instances():
+        primal = solve_lp(inst)
+        dual = solve_dual(inst, primal)
+        assert is_dual_feasible(inst, dual.y, dual.lam)
+        assert dual.value == primal.value == reference_solve_dual(inst).value
+
+
+def test_solve_dual_rejects_a_point_without_certified_duals():
+    inst = corpus_instance(1)
+    primal = solve_lp(inst)
+    with pytest.raises(InternalInvariantError, match="dual LP solution is infeasible"):
+        solve_dual(inst, replace(primal, y=None, lam=None))
+    with pytest.raises(InternalInvariantError, match="dual LP solution is infeasible"):
+        solve_dual(inst, replace(primal, lam=-primal.lam - 1))
+
+
+def _shifted_dual(instance, primal):
+    dual = solve_dual(instance, primal)
+    return replace(dual, value=dual.value + 1)
+
+
+def test_rho_solve_fails_on_unequal_lp_objectives(monkeypatch):
+    monkeypatch.setattr(pipeline, "solve_dual", _shifted_dual)
+    with pytest.raises(AuditError,
+                       match="strong duality failed on the original relaxation"):
+        solve_rho_separable(*reduce_multicut(gen_random_tree_instance(1)))
+
+
+def test_verify_lp_duality_fails_on_unequal_objectives(monkeypatch, tmp_path, capsys):
+    inst = gen_gap_family(1).instance
+    path = tmp_path / "gap1.pcov"
+    path.write_text(formats.render_instance(inst))
+    monkeypatch.setattr(cli, "solve_dual", _shifted_dual)
+    assert cli.main(["verify", "lp-duality", "--input", str(path)]) == cli.EXIT_AUDIT
+    assert capsys.readouterr().out == "primal=13 dual=14 FAIL\n"
+
+
+def test_one_simplex_per_rho_solve_and_lp_duality_check(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(*args, _real=lp.solve_linear_program):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(lp, "solve_linear_program", counting)
+    inst, dec = reduce_multicut(gen_random_tree_instance(1))
+    solve_rho_separable(inst, dec)
+    assert len(calls) == 1
+    path = tmp_path / "mc.pcov"
+    path.write_text(formats.render_instance(inst))
+    assert cli.main(["verify", "lp-duality", "--input", str(path)]) == cli.EXIT_OK
+    assert len(calls) == 2
 
 
 def test_mixed_cover_point_on_gap_pair():

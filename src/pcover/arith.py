@@ -10,17 +10,23 @@ tuning: ties are decided exactly by the delta coefficient.
 `fraction_sum` adds Fractions (and ints) exactly as `sum(values,
 Fraction(0))` does, but keeps one numerator over the running lcm of the
 denominators and normalises once, at the end, instead of building a
-normalised Fraction per term.  It serves the checker and model side
-(audits, LP certificate predicates, instance totals); the solving kernel
-(`kolen._packed_dual_update`, `threshold._SymbolicPass`, the
-`merger.MergeContext` recursion) never calls it, so a fault in it cannot
-be shared by the kernel and the checker that checks it.
+normalised Fraction per term.  `common_scale` puts a list of Fractions
+over one common denominator as ints, so that a certificate predicate can
+decide every sum and comparison on ints and build a Fraction only to word
+a failure.  Both serve the checker and model side (audits, LP certificate
+predicates, instance totals).  The solving kernel (`kolen._packed_dual_update`,
+`threshold._SymbolicPass`, the `merger.MergeContext` recursion) never
+calls either, and the checker never reads the kernel's own scaling
+(`Instance.scaled_profits()`, `scaled_costs()`, the packed ints): each
+side scales the instance's Fractions with code of its own, so a fault in
+one cannot be shared by the kernel and the checker that checks it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -58,6 +64,29 @@ def fraction_sum(values: Iterable[Fraction | int]) -> Fraction:
             num = num * (d // g) + v.numerator * (den // g)
             den *= d // g
     return Fraction(num, den)
+
+
+_numerators = attrgetter("numerator")
+_denominators = attrgetter("denominator")
+
+
+def common_scale(values: Iterable[Fraction | int],
+                 unit: int = 1) -> tuple[int, list[int]]:
+    """(D, ints): D the lcm of `unit` and the values' denominators, and
+    ints[k] = values[k] * D, exact.
+
+    Ints compare and add like the values they scale, so a predicate can
+    decide its clauses on them.  Passing `unit` makes D a multiple of it,
+    so values known as ints over `unit` (a cap lambda * p_i, say) join the
+    same denominator by one multiplication each.
+    """
+    values = list(values)
+    dens = list(map(_denominators, values))
+    distinct = set(dens)
+    scale = lcm(unit, *distinct)
+    factors = {d: scale // d for d in distinct}
+    return scale, list(map(mul, map(_numerators, values),
+                           map(factors.__getitem__, dens)))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -66,10 +66,14 @@ def _rational(token: str, lineno: int) -> Fraction:
 
 
 def _rationals(line: str, lineno: int, count: int, what: str) -> list[Fraction]:
+    """The line's `count` rationals.  Each distinct token is parsed once, in
+    order of first appearance, and its Fraction shared (Fractions are
+    immutable), so a bad token is reported as a token-by-token parse would."""
     tokens = line.split()
     if len(tokens) != count:
         raise InputError(f"expected {count} {what}, found {len(tokens)}", line=lineno)
-    return [_rational(t, lineno) for t in tokens]
+    parsed = {t: _rational(t, lineno) for t in dict.fromkeys(tokens)}
+    return list(map(parsed.__getitem__, tokens))
 
 
 def _int(token: str, lineno: int, what: str) -> int:

@@ -27,9 +27,11 @@ a cost minus at most n duals, at most n times that.
 eagerly, and `KolenResult.dual` decodes the DualSolution only when it is
 read.  `audit_optimality` is the checker, kept independent of this kernel:
 it reads the decoded DeltaRationals and the instance's Fractions, never
-the packed ints or the scaled profits, and works on plain Fraction value
-and delta parts, added with `arith.fraction_sum`.  The kernel never calls
-`fraction_sum`, so a fault in it cannot hide a fault of the kernel.
+the packed ints or the scaled profits, and puts their value and delta
+parts over common denominators of its own with `arith.common_scale`,
+so its clauses are int sums and int comparisons.  The kernel never calls
+`common_scale` or `fraction_sum`, so a fault in them cannot hide a fault
+of the kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .arith import DeltaRational, fraction_sum
+from .arith import DeltaRational, common_scale, fraction_sum
 from .errors import InputError
 from .model import Cover, Instance, bit_indices, covered_element_mask
 from .tb import is_gamma_free
@@ -205,6 +207,12 @@ class OptimalityAudit:
     detail: str = ""
 
 
+def _exact(value: int, scale: int, delta: int, delta_scale: int) -> DeltaRational:
+    """The DeltaRational of a value part over `scale` and a delta part over
+    `delta_scale`, built only to word a failed clause."""
+    return DeltaRational.of_fractions(Fraction(value, scale), Fraction(delta, delta_scale))
+
+
 def audit_optimality(instance: Instance, lam, result: KolenResult) -> OptimalityAudit:
     """Exact re-verification of the prize-collecting optimality certificate.
 
@@ -217,34 +225,48 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
           with stored residuals matching recomputation.
 
     The check reads only the decoded DeltaRationals and the instance's
-    Fractions: each value is handled as its value part and its delta part,
-    each cap lambda * p_i is computed once, and sums are `fraction_sum`s
-    (exact, one Fraction built per sum) with zero terms dropped.  Nothing
-    here touches the packed ints of the kernel it checks.
+    Fractions, and puts them over denominators it computes itself with
+    `arith.common_scale`: the value parts (costs, dual and residual values,
+    caps) over one, the delta parts over another.  Each cap lambda * p_i is
+    then one int per element, and every clause is decided by int sums and
+    int comparisons; a Fraction is built only to word a failure.  Nothing
+    here touches the packed ints or the scaled profits of the kernel it
+    checks.
     """
     lam = DeltaRational.of(lam)
     dual = result.dual
+    n, m = instance.n, instance.m
     covered = covered_element_mask(instance, result.pruned)
-    y_value = [yi.value for yi in dual.y]
-    y_delta = [yi.delta for yi in dual.y]
-    cap_value = [lam.value * p for p in instance.profits]
-    cap_delta = ([lam.delta * p for p in instance.profits] if lam.delta
-                 else [lam.delta] * instance.n)
-    uncovered = [i for i in range(instance.n) if not covered >> i & 1]
+    uncovered = [i for i in range(n) if not covered >> i & 1]
 
-    lhs = (fraction_sum(chain(map(instance.costs.__getitem__, result.pruned.sets),
-                              map(cap_value.__getitem__, uncovered))),
-           fraction_sum(filter(None, map(cap_delta.__getitem__, uncovered))))
-    rhs = (fraction_sum(filter(None, y_value)), fraction_sum(filter(None, y_delta)))
+    l_p, profits = common_scale(instance.profits)
+    unit = lam.value.denominator * l_p
+    scale, ints = common_scale(chain(instance.costs, (yi.value for yi in dual.y),
+                                     (r.value for r in dual.residuals)), unit)
+    costs, y_value, r_value = ints[:m], ints[m:m + n], ints[m + n:]
+    cap_unit = lam.value.numerator * (scale // unit)
+    cap_value = [cap_unit * p for p in profits]
+    unit = lam.delta.denominator * l_p
+    delta_scale, ints = common_scale(chain((yi.delta for yi in dual.y),
+                                           (r.delta for r in dual.residuals)), unit)
+    y_delta, r_delta = ints[:n], ints[n:]
+    cap_unit = lam.delta.numerator * (delta_scale // unit)
+    cap_delta = [cap_unit * p for p in profits]
+
+    lhs = (sum(map(costs.__getitem__, result.pruned.sets))
+           + sum(map(cap_value.__getitem__, uncovered)),
+           sum(map(cap_delta.__getitem__, uncovered)))
+    rhs = (sum(y_value), sum(y_delta))
     if lhs != rhs:
-        return OptimalityAudit(False, "a", f"cost+penalty {DeltaRational(*lhs)} "
-                                           f"!= dual total {DeltaRational(*rhs)}")
+        return OptimalityAudit(False, "a",
+                               f"cost+penalty {_exact(lhs[0], scale, lhs[1], delta_scale)} "
+                               f"!= dual total {_exact(rhs[0], scale, rhs[1], delta_scale)}")
 
     pruned_mask = 0
     for j in result.pruned.sets:
         pruned_mask |= 1 << j
-    for i in range(instance.n):
-        if dual.y[i].is_positive():
+    for i, part in enumerate(zip(y_value, y_delta)):
+        if part > (0, 0):
             hits = (instance.row_masks[i] & pruned_mask).bit_count()
             if hits > 1:
                 return OptimalityAudit(False, "b",
@@ -252,17 +274,16 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
 
     for i in uncovered:
         if y_value[i] != cap_value[i] or y_delta[i] != cap_delta[i]:
-            cap = DeltaRational(cap_value[i], cap_delta[i])
+            cap = _exact(cap_value[i], scale, cap_delta[i], delta_scale)
             return OptimalityAudit(False, "c",
                                    f"uncovered element {i} has dual {dual.y[i]} "
                                    f"below cap {cap}")
 
-    for j, (stored, c, mask) in enumerate(zip(dual.residuals, instance.costs,
-                                              instance.col_masks)):
+    for j, mask in enumerate(instance.col_masks):
         members = bit_indices(mask)
-        fresh = (c - fraction_sum(map(y_value.__getitem__, members)),
-                 -fraction_sum(filter(None, map(y_delta.__getitem__, members))))
-        if (stored.value, stored.delta) != fresh:
+        fresh = (costs[j] - sum(map(y_value.__getitem__, members)),
+                 -sum(map(y_delta.__getitem__, members)))
+        if (r_value[j], r_delta[j]) != fresh:
             return OptimalityAudit(False, "d", f"residual mismatch at set {j}")
         if fresh < (0, 0):
             return OptimalityAudit(False, "d", f"negative residual at set {j}")

@@ -22,10 +22,13 @@ program as the referee.
 
 The simplex serves the rho-separable reduction (its input is not totally
 balanced), `pcover verify lp-duality` and the tests.  The totally balanced
-solve certifies the LP optimum with the predicates below instead.  They
-and `mixed_cover_point` add with `arith.fraction_sum` (one Fraction per
-sum, zero terms dropped); `tests/lp_reference.py` keeps the plain-sum
-versions that referee them.
+solve certifies the LP optimum with the predicates below instead.
+`is_primal_feasible` and `is_dual_feasible` put the points they check and
+the instance's Fractions over common denominators they compute with
+`arith.common_scale`, never with the kernel's scaling, and decide each
+constraint on ints; `mixed_cover_point` and `dual_value` add with
+`arith.fraction_sum` (one Fraction per sum, zero terms dropped).
+`tests/lp_reference.py` keeps the plain-sum versions that referee them.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
-from .arith import fraction_sum
+from .arith import common_scale, fraction_sum
 from .errors import InfeasibleError, InternalInvariantError
 from .model import Cover, Instance, bit_indices, covered_element_mask
 
@@ -233,17 +237,25 @@ def mixed_cover_point(instance: Instance, low: Cover,
 
 
 def is_primal_feasible(instance: Instance, x, r) -> bool:
-    """Whether (x, r) meets A x + r >= 1, p.r <= p(U) - P and x, r >= 0."""
-    if len(x) != instance.m or len(r) != instance.n:
+    """Whether (x, r) meets A x + r >= 1, p.r <= p(U) - P and x, r >= 0.
+
+    x and r go over one common denominator D, so a row holds when its int
+    sum reaches D; the budget row compares p.r with (p(U) - P) D, profits
+    and target over a denominator of their own.
+    """
+    m = instance.m
+    if len(x) != m or len(r) != instance.n:
         return False
-    if any(v < 0 for v in x) or any(v < 0 for v in r):
+    scale, ints = common_scale(chain(x, r))
+    if min(ints, default=0) < 0:
         return False
+    x, r = ints[:m], ints[m:]
     for ri, mask in zip(r, instance.row_masks):
-        if fraction_sum(filter(None, chain((ri,), map(x.__getitem__,
-                                                      bit_indices(mask))))) < 1:
+        if ri + sum(map(x.__getitem__, bit_indices(mask))) < scale:
             return False
-    budget = instance.total_profit() - instance.target
-    return fraction_sum(p * v for p, v in zip(instance.profits, r) if v) <= budget
+    _, ints = common_scale(chain(instance.profits, (instance.target,)))
+    profits, target = ints[:-1], ints[-1]
+    return sum(map(mul, profits, r)) <= (sum(profits) - target) * scale
 
 
 def dual_value(instance: Instance, y, lam) -> Fraction:
@@ -253,10 +265,21 @@ def dual_value(instance: Instance, y, lam) -> Fraction:
 
 
 def is_dual_feasible(instance: Instance, y, lam) -> bool:
-    """Whether (y, lam) meets A^T y <= c, y <= lam p and y, lam >= 0."""
-    if any(v < 0 for v in y) or lam < 0:
+    """Whether (y, lam) meets A^T y <= c, y <= lam p and y, lam >= 0.
+
+    Costs and y go over one common denominator, a multiple of the one of
+    lam * p, so each cap is one int per element and every clause an int
+    comparison.
+    """
+    m = instance.m
+    l_p, profits = common_scale(instance.profits)
+    unit = lam.denominator * l_p
+    scale, ints = common_scale(chain(instance.costs, y), unit)
+    costs, y = ints[:m], ints[m:]
+    if lam < 0 or min(y, default=0) < 0:
         return False
-    for c, mask in zip(instance.costs, instance.col_masks):
-        if fraction_sum(filter(None, map(y.__getitem__, bit_indices(mask)))) > c:
+    for c, mask in zip(costs, instance.col_masks):
+        if sum(map(y.__getitem__, bit_indices(mask))) > c:
             return False
-    return all(y[i] <= lam * instance.profits[i] for i in range(instance.n))
+    cap_unit = lam.numerator * (scale // unit)
+    return all(yi <= cap_unit * p for yi, p in zip(y, profits))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from .arith import as_rational
+from .arith import as_rational, common_scale
 from .errors import (AuditError, InfeasibleError, InputError,
                      InternalInvariantError, check_guard)
 from .generators import BlackboxFamily, gen_blackbox_family, Lcg
@@ -122,14 +122,19 @@ def lemma_witness_check(instance: Instance, graph: MergerGraph,
 
     Every element whose dual value sits strictly below its penalty cap
     must see a set from each pruned cover that are equal or joined by a
-    merger edge.
+    merger edge.  The duals and caps are compared as ints over a common
+    denominator from `arith.common_scale`.
     """
-    lam_value = above.dual.lam.value
+    lam = above.dual.lam.value
+    l_p, profits = common_scale(instance.profits)
+    unit = lam.denominator * l_p
+    scale, y = common_scale([yi.value for yi in above.dual.y], unit)
+    cap_unit = lam.numerator * (scale // unit)
     edge_set = set(graph.edges)
     pm = below.pruned.as_set()
     pp = above.pruned.as_set()
-    for i in range(instance.n):
-        if above.dual.y[i].value >= lam_value * instance.profits[i]:
+    for i, (yi, p) in enumerate(zip(y, profits)):
+        if yi >= cap_unit * p:
             continue
         sets_i = instance.sets_of_element(i)
         plus_hits = [j for j in sets_i if j in pp]
@@ -243,24 +248,11 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
         work=work, threshold=thr)
 
 
-def solve_rho_separable(instance: Instance, decomposition: Decomposition,
-                        k: int = 4, *, oracle: bool = False) -> SolveReport:
-    """Reduce through the fractional optimum to one totally balanced row set.
-
-    For each element, some decomposition part must carry at least a 1/rho
-    share of its fractional coverage; the row-induced matrix built from
-    those parts is solved instead, and its cover is feasible for the
-    original matrix.
-    """
-    t0 = time.perf_counter()
-    decomposition.validate_against(instance.rows)
+def _reduce_rows(instance: Instance, decomposition: Decomposition,
+                 primal) -> Instance:
+    """Per element, the row of the first part that carries at least a 1/rho
+    share of its fractional coverage in `primal`."""
     rho = decomposition.rho
-    primal = solve_lp(instance)
-    dual = solve_dual(instance, primal)
-    t_lp = time.perf_counter()
-    if primal.value != dual.value:
-        raise AuditError("strong duality failed on the original relaxation")
-
     b_rows = []
     for i in range(instance.n):
         need = (1 - primal.r[i]) / rho
@@ -275,20 +267,47 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
             raise InternalInvariantError(
                 f"no decomposition part reaches the 1/{rho} share at element {i}")
         b_rows.append(decomposition.parts[pick][i])
+    return Instance(row_bitmasks(b_rows), instance.costs, instance.profits,
+                    instance.target)
 
-    reduced = Instance(row_bitmasks(b_rows), instance.costs, instance.profits,
-                       instance.target)
+
+def solve_rho_separable(instance: Instance, decomposition: Decomposition,
+                        k: int = 4, *, oracle: bool = False) -> SolveReport:
+    """Reduce through the fractional optimum to one totally balanced row set.
+
+    For each element, some decomposition part must carry at least a 1/rho
+    share of its fractional coverage; the row-induced matrix built from
+    those parts is solved instead, and its cover is feasible for the
+    original matrix.  At rho = 1 that matrix is the input itself, and
+    `lp_value` comes from the inner solve's certified LP optimum instead of
+    a simplex.
+    """
+    t0 = time.perf_counter()
+    decomposition.validate_against(instance.rows)
+    rho = decomposition.rho
+    if rho == 1:
+        # The one part is the whole matrix: every element picks it.
+        reduced = instance
+        t_lp = time.perf_counter()
+    else:
+        primal = solve_lp(instance)
+        dual = solve_dual(instance, primal)
+        t_lp = time.perf_counter()
+        if primal.value != dual.value:
+            raise AuditError("strong duality failed on the original relaxation")
+        reduced = _reduce_rows(instance, decomposition, primal)
     report = solve_partial_tbc(reduced)
+    lp_value = report.lp_value if rho == 1 else primal.value
 
     covered_original = covered_profit(instance, report.cover)
     audits = dict(report.audits)
     audits["feasible_for_original"] = covered_original >= instance.target
     audits["rho_lp_bound"] = report.cost <= (
-        (1 + Fraction(1, 3 ** (k - 1))) * rho * primal.value
+        (1 + Fraction(1, 3 ** (k - 1))) * rho * lp_value
         + k * instance.max_cost())
     single_block = _single_blocks(reduced)
     if single_block and reduced.row_masks == instance.row_masks:
-        audits["single_block_bound"] = report.cost <= primal.value + instance.max_cost()
+        audits["single_block_bound"] = report.cost <= lp_value + instance.max_cost()
 
     ratio = None
     oracle_cost = None
@@ -301,7 +320,7 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
         raise AuditError(f"separable solve audits failed: {', '.join(failed)}")
 
     return replace(
-        report, covered=covered_original, lp_value=primal.value,
+        report, covered=covered_original, lp_value=lp_value,
         single_block=single_block, audits=audits, ratio_vs_oracle=ratio,
         oracle_cost=oracle_cost,
         timings={**report.timings, "lp": t_lp - t0,

@@ -200,9 +200,16 @@ class _SymbolicPass:
 class _Prober:
     """Caches perturbed runs and counts actual solver invocations.
 
+    The cache holds one round's runs: every breakpoint of a later round
+    lies strictly inside the narrowed interval, so no run of an earlier
+    round can be asked for again, and `find_threshold` empties the cache
+    as each round starts.
+
     Coverage is measured in units of 1/L_p, as an int sum of
-    `Instance.scaled_profits()` over the covered element mask; `goal` is
-    the target in the same units.
+    `Instance.scaled_profits()`; `goal` is the target in the same units.
+    `covered` walks the smaller side of the covered element mask: the
+    covered elements, or the coverable ones it misses, subtracted from
+    `coverable`, the scaled profit of every element some set contains.
     """
 
     def __init__(self, instance: Instance):
@@ -211,6 +218,9 @@ class _Prober:
         self.calls = 0
         self.l_p, self.profits = instance.scaled_profits()
         self.goal = instance.target * self.l_p
+        coverable = [i for i, mask in enumerate(instance.row_masks) if mask]
+        self.coverable_mask = sum(1 << i for i in coverable)
+        self.coverable = sum(map(self.profits.__getitem__, coverable))
 
     def run(self, lam: Fraction, side: int) -> KolenResult:
         key = (lam, side)
@@ -221,6 +231,9 @@ class _Prober:
 
     def covered(self, cover: Cover) -> int:
         mask = covered_element_mask(self.instance, cover)
+        missed = self.coverable_mask & ~mask
+        if missed.bit_count() < mask.bit_count():
+            return self.coverable - sum(map(self.profits.__getitem__, bit_indices(missed)))
         return sum(map(self.profits.__getitem__, bit_indices(mask)))
 
     def coverage(self, lam: Fraction, side: int) -> int:
@@ -277,6 +290,7 @@ def find_threshold(instance: Instance) -> ThresholdResult:
 
     symbolic = _SymbolicPass(instance)
     for _round in range(instance.n + 1):
+        prober.cache.clear()
         outcome = symbolic.advance(lo, hi)
         if outcome[0] == "agree":
             raise InternalInvariantError(

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcover.arith import (DeltaRational, as_rational, format_rational,
-                          fraction_sum, parse_rational)
+from pcover.arith import (DeltaRational, as_rational, common_scale,
+                          format_rational, fraction_sum, parse_rational)
 from pcover.generators import Lcg
 
 # Denominators that share factors (4, 6, 12, 2**20), are coprime (7, 11,
@@ -45,6 +45,22 @@ def test_fraction_sum_matches_fraction_addition(values):
     total = fraction_sum(values)
     assert type(total) is F
     assert total == sum(values, F(0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(TERMS, max_size=30), st.sampled_from(DENOMINATORS))
+@example([], 1)
+@example([F(1, 6), F(5, 6)], 4)
+@example([F(3, 7), 2, F(-1, 7)], 1)
+def test_common_scale_puts_values_over_one_denominator(values, unit):
+    scale, ints = common_scale(values, unit)
+    assert scale > 0 and not scale % unit
+    assert all(not scale % F(v).denominator for v in values)
+    assert [type(k) for k in ints] == [int] * len(values)
+    assert [F(k, scale) for k in ints] == [F(v) for v in values]
+    # the least such denominator
+    assert all(scale // p % unit or any((scale // p) % F(v).denominator for v in values)
+               for p in (2, 3, 5, 7, 11, 13, 97) if not scale % p)
 
 
 def test_as_rational_returns_a_fraction_as_it_is():

@@ -38,6 +38,16 @@ def test_parse_reports_line_numbers():
     assert "line 6" in str(err.value)
 
 
+def test_parse_shares_repeated_rationals_and_reports_the_first_bad_token():
+    inst = formats.parse_instance("PCOV 1\n3 2\n1\n1/2 1/2\n1 2/2 1\n10\n01\n11\n")
+    assert inst.costs == (F(1, 2), F(1, 2)) and inst.costs[0] is inst.costs[1]
+    assert inst.profits == (1, 1, 1) and inst.profits[0] is inst.profits[2]
+    broken = "PCOV 1\n3 2\n1\n1 1\n1/0 x 1/0\n10\n01\n11\n"
+    with pytest.raises(InputError) as err:
+        formats.parse_instance(broken)
+    assert "'1/0'" in str(err.value) and "line 5" in str(err.value)
+
+
 def test_parse_truncated_file():
     with pytest.raises(InputError, match="unexpected end"):
         formats.parse_instance("PCOV 1\n2 2\n1\n")

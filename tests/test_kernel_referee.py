@@ -12,8 +12,8 @@ import pytest
 
 from kolen_reference import (reference_audit_optimality, reference_dual_lines,
                              reference_kolen)
-from pcover import arith, lp, model, threshold
-from pcover.arith import DeltaRational, fraction_sum
+from pcover import arith, lp, model, pipeline, threshold
+from pcover.arith import DeltaRational, common_scale, fraction_sum
 from pcover.errors import AuditError
 from pcover.generators import Lcg, corpus_instance, gen_gap_family
 from pcover.kolen import (DualSolution, KolenResult, audit_optimality,
@@ -263,6 +263,34 @@ def test_kernel_never_calls_fraction_sum(monkeypatch):
     for seed in range(20):
         solve_partial_tbc(corpus_instance(seed))
     assert calls  # the checker side did sum through the wrapper
+
+
+def test_kernel_never_calls_common_scale(monkeypatch):
+    # common_scale puts the checker's Fractions over its own denominators,
+    # so like fraction_sum it must stay out of the kernel it checks.
+    kernel = {kolen_module._packed_dual_update.__code__,
+              threshold._SymbolicPass.advance.__code__}
+    kernel.update(f.__code__ for f in vars(MergeContext).values()
+                  if inspect.isfunction(f))
+    calls = []
+
+    def checked_scale(values, unit=1):
+        frame = sys._getframe(1)
+        while frame is not None:
+            assert frame.f_code not in kernel, f"{frame.f_code.co_name} scaled"
+            frame = frame.f_back
+        calls.append(1)
+        return common_scale(values, unit)
+
+    users = [module for name, module in sys.modules.items()
+             if name.startswith("pcover") and hasattr(module, "common_scale")]
+    assert pipeline in users
+    for module in users:
+        monkeypatch.setattr(module, "common_scale", checked_scale)
+    assert solve_partial_tbc(gen_gap_family(2).instance).splits > 0
+    for seed in range(20):
+        solve_partial_tbc(corpus_instance(seed))
+    assert calls  # the checker side did scale through the wrapper
 
 
 def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):

@@ -153,6 +153,29 @@ def test_one_simplex_per_rho_solve_and_lp_duality_check(monkeypatch, tmp_path):
     assert len(calls) == 2
 
 
+def test_rho_one_runs_no_simplex(monkeypatch):
+    # With one part the reduced instance is the input, and the inner solve
+    # certifies its LP value: no simplex runs at rho = 1, one at rho = 2.
+    calls = []
+
+    def counting(*args, _real=lp.solve_linear_program):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(lp, "solve_linear_program", counting)
+    for seed in range(1, 6):
+        inst, dec, _ = reduce_rectangle_stabbing(gen_random_rectangles(seed, 1))
+        assert dec.rho == 1
+        report = solve_rho_separable(inst, dec)
+        assert not calls
+        assert report.audits["rho_lp_bound"]
+        assert report.lp_value == solve_lp(inst).value
+        calls.clear()
+    inst, dec = reduce_multicut(gen_random_tree_instance(1))
+    solve_rho_separable(inst, dec)
+    assert dec.rho == 2 and len(calls) == 1
+
+
 def test_mixed_cover_point_on_gap_pair():
     # x1 and x2 mixed to cover exactly P give the family's LP optimum.
     for q in (1, 2):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcover.errors import InfeasibleError
-from pcover.generators import corpus_instance
+from pcover import threshold
+from pcover.generators import corpus_instance, gen_gap_family
 from pcover.kolen import kolen
 from pcover.model import covered_profit, make_instance
 from pcover.pipeline import to_greedy_form
@@ -187,3 +188,25 @@ def test_agreed_lines_reproduce_duals_inside_final_interval():
                 assert run.dual.y[i].delta == 0
         checked += 1
     assert checked >= 10
+
+
+def test_kolen_calls_count_distinct_runs(monkeypatch):
+    # The probe cache holds one round: no run of an earlier round is asked
+    # for again, so clearing it per round keeps one call per distinct
+    # (lambda, side) run.
+    runs = []
+
+    def recording(instance, lam):
+        runs.append((lam.value, lam.delta))
+        return kolen(instance, lam)
+
+    monkeypatch.setattr(threshold, "kolen", recording)
+    works = [to_greedy_form(corpus_instance(seed))[0] for seed in range(600)]
+    works += [to_greedy_form(gen_gap_family(q).instance)[0] for q in (1, 2, 3, 4)]
+    probed = 0
+    for work in works:
+        runs.clear()
+        thr = find_threshold(work)
+        assert thr.kolen_calls == len(runs) == len(set(runs))
+        probed += len(runs)
+    assert probed > len(works)

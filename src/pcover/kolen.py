@@ -23,6 +23,17 @@ concave function whose slopes lie in [0, sum of profits].  So every delta
 part of y_i is at most |delta| * p(U) in absolute value, and a residual,
 a cost minus at most n duals, at most n times that.
 
+A run may also resume from a `LinePrefix`: the first elements' duals and
+every set's residual after them, each a line in lambda that the caller
+knows to hold on an open interval.  At a multiplier inside that interval,
+or formally perturbed from a point inside it, each line's packed value is
+A * (cost unit) + B * (cap unit), two products, and the update runs only
+from the first element after the prefix.  A dual line that is nonnegative
+on the interval and zero at a point inside it is zero throughout, so the
+prefix's positive-dual mask is the mask of its nonzero lines, the same at
+every such multiplier.  The resumed run's packed ints, covers and decoded
+duals are those of the run from element 0.
+
 `kolen` keeps the run packed: its pruned and tight covers are computed
 eagerly, and `KolenResult.dual` decodes the DualSolution only when it is
 read.  `audit_optimality` is the checker, kept independent of this kernel:
@@ -62,6 +73,24 @@ class DualSolution:
             if yi.is_positive():
                 mask |= 1 << i
         return mask
+
+
+@dataclass(frozen=True)
+class LinePrefix:
+    """Kolen's run on elements 0..len(y)-1, as lines in lambda.
+
+    `y` holds those elements' duals and `residuals` every set's residual
+    after them, each a pair (A, B) of ints standing for A / L_c + lambda *
+    B / L_p, in the units of `Instance.scaled_costs()` and
+    `scaled_profits()`.  `positive` is the mask of the elements whose line
+    is not zero.  The caller vouches that the lines are the run's own on
+    an open interval of lambda, and passes multipliers whose value part
+    lies inside it.
+    """
+
+    y: tuple[tuple[int, int], ...]
+    residuals: tuple[tuple[int, int], ...]
+    positive: int
 
 
 @dataclass(frozen=True)
@@ -133,10 +162,15 @@ def _multiplier(instance: Instance, lam) -> DeltaRational:
     return lam
 
 
-def _packed_dual_update(instance: Instance, lam: DeltaRational) -> _PackedDual:
-    """Raise duals in element index order on packed ints.
+def _packed_dual_update(instance: Instance, lam: DeltaRational,
+                        prefix: LinePrefix | None = None) -> _PackedDual:
+    """Raise duals in element index order on packed ints, from element 0
+    or from the first element after `prefix`.
 
     An element contained in no set gets the full penalty cap lambda * p_i.
+    Residuals never go negative, so an element in a set whose residual is
+    zero gets a zero dual: a mask of those tight sets settles it with one
+    AND, and only the other elements compare their sets' residuals.
     """
     a, b = lam.value.numerator, lam.value.denominator
     d_num, d_den = lam.delta.numerator, lam.delta.denominator
@@ -145,9 +179,24 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational) -> _PackedDual:
     base = 2 * abs(d_num) * sum(profits) * max(instance.n, 1) + 1
     cap_unit = a * l_c * base + d_num  # lambda * p_i packs as cap_unit * P_i
     cost_unit = l_p * b * base
-    residuals = [c * cost_unit for c in costs]
-    y = []
-    for sets, p in zip(instance.element_sets(), profits):
+    element_sets, row_masks = instance.element_sets(), instance.row_masks
+    if prefix is None:
+        residuals = [c * cost_unit for c in costs]
+        y = []
+    else:
+        residuals = [u * cost_unit + v * cap_unit for u, v in prefix.residuals]
+        y = [u * cost_unit + v * cap_unit for u, v in prefix.y]
+        start = len(y)
+        element_sets, row_masks = element_sets[start:], row_masks[start:]
+        profits = profits[start:]
+    tight = 0
+    for j, r in enumerate(residuals):
+        if not r:
+            tight |= 1 << j
+    for sets, p, row in zip(element_sets, profits, row_masks):
+        if row & tight:
+            y.append(0)
+            continue
         yi = cap_unit * p
         for j in sets:
             if residuals[j] < yi:
@@ -156,6 +205,8 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational) -> _PackedDual:
         if yi:
             for j in sets:
                 residuals[j] -= yi
+                if not residuals[j]:
+                    tight |= 1 << j
     return _PackedDual(lam, y, residuals, l_c * l_p * b, l_p * d_den, base)
 
 
@@ -189,12 +240,14 @@ def reverse_delete(instance: Instance, tight: Cover, dual: DualSolution) -> Cove
     return _prune(instance, tight.sets, dual.positive_y_mask())
 
 
-def kolen(instance: Instance, lam) -> KolenResult:
-    """One run: covers computed now, the dual decoded when first read."""
-    packed = _packed_dual_update(instance, _multiplier(instance, lam))
+def kolen(instance: Instance, lam, prefix: LinePrefix | None = None) -> KolenResult:
+    """One run: covers computed now, the dual decoded when first read.
+
+    With a `prefix`, the run resumes after it (see `LinePrefix`)."""
+    packed = _packed_dual_update(instance, _multiplier(instance, lam), prefix)
     tight = tuple(j for j, r in enumerate(packed.residuals) if not r)
-    pos_mask = 0
-    for i, yi in enumerate(packed.y):
+    start, pos_mask = (0, 0) if prefix is None else (len(prefix.y), prefix.positive)
+    for i, yi in enumerate(packed.y[start:], start):
         if yi > 0:
             pos_mask |= 1 << i
     return KolenResult(_prune(instance, tight, pos_mask), Cover(tight), packed)

@@ -26,8 +26,10 @@ solve certifies the LP optimum with the predicates below instead.
 `is_primal_feasible` and `is_dual_feasible` put the points they check and
 the instance's Fractions over common denominators they compute with
 `arith.common_scale`, never with the kernel's scaling, and decide each
-constraint on ints; `mixed_cover_point` and `dual_value` add with
-`arith.fraction_sum` (one Fraction per sum, zero terms dropped).
+constraint on ints; `mixed_cover_point` sums the two covers' profits
+as ints over `common_scale` of the profits and builds its weight as one
+Fraction, and it and `dual_value` add the rest with `arith.fraction_sum`
+(one Fraction per sum, zero terms dropped).
 `tests/lp_reference.py` keeps the plain-sum versions that referee them.
 """
 
@@ -218,8 +220,13 @@ def mixed_cover_point(instance: Instance, low: Cover,
     masks = [covered_element_mask(instance, cover) for cover in covers]
     weights = (ONE,)
     if high is not None:
-        cov_low, cov_high = map(instance.profit_of_element_mask, masks)
-        a = (cov_high - instance.target) / (cov_high - cov_low)
+        # cov(low) and cov(high) as ints over D, so a is
+        # (cov_high - P D) / (cov_high - cov_low), with P = t / u.
+        scale, profits = common_scale(instance.profits)
+        cov_low, cov_high = (sum(map(profits.__getitem__, bit_indices(mask)))
+                             for mask in masks)
+        t, u = instance.target.numerator, instance.target.denominator
+        a = Fraction(cov_high * u - t * scale, (cov_high - cov_low) * u)
         weights = (a, ONE - a)
     # Each x_j and r_i is the total weight of a subset of the covers: sum
     # each subset once, indexed by the bit pattern of the covers it holds.
@@ -232,7 +239,13 @@ def mixed_cover_point(instance: Instance, low: Cover,
     x = [totals[pattern] for pattern in x_pattern]
     r = [totals[sum(1 << k for k, mask in enumerate(masks) if not mask >> i & 1)]
          for i in range(instance.n)]
-    value = fraction_sum(c * v for c, v in zip(instance.costs, x) if v)
+    # The value is one product per pattern: its weight times its sets' costs.
+    pattern_costs = [[] for _ in totals]
+    for c, pattern in zip(instance.costs, x_pattern):
+        pattern_costs[pattern].append(c)
+    value = fraction_sum(totals[pattern] * fraction_sum(costs)
+                         for pattern, costs in enumerate(pattern_costs)
+                         if pattern and costs)
     return FractionalSolution(tuple(x), tuple(r), value)
 
 

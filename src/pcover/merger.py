@@ -15,20 +15,26 @@ decay at multi-child splits.  The recursion compares exact ints, the
 profits, target and benefits scaled by L (the lcm of the profit
 denominators and the target's denominator) and the costs scaled by L_c
 (`Instance.scaled_costs`); its trace and messages are Fractions in
-original units.  `merge` checks its entry and its result
-with `covered_profit` on Fractions, and the final cost bound is
-re-checked by `audit_merge_bound`.
+original units.  Coverage is one OR of the cover's column masks and an
+int sum of the scaled profits over the smaller side of that mask
+(`model.ScaledCoverage`), kept once per distinct mask.  `merge` checks
+its entry and its result with that same coverage against the scaled
+target, which decides exactly the predicates on Fractions; the final
+cost bound is re-checked by `audit_merge_bound`, and the solve's
+`feasible` audit re-checks the cover on the input's Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from .errors import InputError, InternalInvariantError
 from .kolen import DualSolution
-from .model import Cover, Instance, bit_indices, cover_cost, covered_profit
+from .model import Cover, Instance, ScaledCoverage, bit_indices, cover_cost
 
 
 @dataclass(frozen=True)
@@ -213,7 +219,7 @@ class MergeContext:
         l_p, profits = instance.scaled_profits()
         self.scale = lcm(l_p, target.denominator)
         factor = self.scale // l_p
-        self.profits = [p * factor for p in profits]
+        self.scaled_coverage = ScaledCoverage(instance, [p * factor for p in profits])
         self.costs = instance.scaled_costs()[1]
         self.target = _scaled(target, self.scale, "target")
         self.benefits = {j: _scaled(b, self.scale, f"benefit of set {j}")
@@ -226,11 +232,9 @@ class MergeContext:
 
     def coverage(self, D) -> int:
         """Scaled profit covered by D, summed once per distinct element mask."""
-        mask = 0
-        for j in D:
-            mask |= self.instance.col_masks[j]
+        mask = reduce(or_, map(self.instance.col_masks.__getitem__, D), 0)
         if mask not in self._coverage:
-            self._coverage[mask] = sum(map(self.profits.__getitem__, bit_indices(mask)))
+            self._coverage[mask] = self.scaled_coverage(mask)
         return self._coverage[mask]
 
     def cost(self, D) -> int:
@@ -401,13 +405,13 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
 
     low = frozenset(pruned_minus.as_set())
     high = frozenset(pruned.as_set())
-    if covered_profit(instance, pruned_minus) >= P:
+    if run.coverage(low) >= run.target:
         trace.immediate = "lower cover already feasible"
         trace.final = pruned_minus
         return pruned_minus, trace
-    if covered_profit(instance, pruned) < P:
+    if run.coverage(high) < run.target:
         raise InputError(f"upper cover misses the target: "
-                         f"{covered_profit(instance, pruned)} < {P}")
+                         f"{run.unscaled(run.coverage(high))} < {P}")
 
     D = low
     ordered_roots = sorted(graph.roots, key=lambda r: min(graph.subtree(r)))
@@ -419,22 +423,22 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
         else:
             final = Cover.of(run.increase(r, D))
             trace.final = final
-            _check_final(instance, final, union, P)
+            _check_final(run, final, union)
             return final, trace
 
     if D != high:
         raise InternalInvariantError("all roots flipped but D differs from the upper cover")
-    if covered_profit(instance, Cover.of(D)) < P:
+    if run.coverage(D) < run.target:
         raise InternalInvariantError("merge exhausted all roots while infeasible")
     trace.immediate = "all roots flipped (exact boundary)"
     final = Cover.of(D)
     trace.final = final
-    _check_final(instance, final, union, P)
+    _check_final(run, final, union)
     return final, trace
 
 
-def _check_final(instance: Instance, final: Cover, union: Cover, P: Fraction) -> None:
-    if covered_profit(instance, final) < P:
+def _check_final(run: MergeContext, final: Cover, union: Cover) -> None:
+    if run.coverage(final.sets) < run.target:
         raise InternalInvariantError("merge returned an infeasible cover")
     if not final.as_set() <= union.as_set():
         raise InternalInvariantError("merge returned sets outside the union")

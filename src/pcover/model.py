@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 from .arith import as_rational, fraction_sum
@@ -247,6 +249,31 @@ def covered_element_mask(instance: Instance, cover: Cover) -> int:
     for j in cover.sets:
         mask |= instance.col_masks[j]
     return mask
+
+
+class ScaledCoverage:
+    """The kernel's covered profit: an int sum of scaled profits over an
+    element mask.
+
+    `values` are the profits over some common unit (`scaled_profits()`, or
+    a multiple of it).  A mask of covered elements lies inside `coverable`,
+    the elements some set contains, so the sum walks the smaller side: the
+    mask's own bits, or the coverable bits it misses, subtracted from
+    `total`, the sum over `coverable`.
+    """
+
+    __slots__ = ("values", "coverable", "total")
+
+    def __init__(self, instance: Instance, values: Sequence[int]):
+        self.values = values
+        self.coverable = reduce(or_, instance.col_masks, 0)
+        self.total = sum(map(values.__getitem__, bit_indices(self.coverable)))
+
+    def __call__(self, mask: int) -> int:
+        missed = self.coverable & ~mask
+        if missed.bit_count() < mask.bit_count():
+            return self.total - sum(map(self.values.__getitem__, bit_indices(missed)))
+        return sum(map(self.values.__getitem__, bit_indices(mask)))
 
 
 def covered_profit(instance: Instance, cover: Cover) -> Fraction:

@@ -8,28 +8,36 @@ than P and at least P respectively, for every infinitesimal d > 0.
 The search keeps an open interval (lo, hi) with the invariant that the
 run just above lo is infeasible and the run just below hi is feasible.
 Inside the interval the dual update is executed symbolically, with every
-dual variable and residual cost a linear function of lambda; the first
-element whose candidate lines cross inside the interval yields the
-breakpoints of their lower envelope, and a binary search over those
-breakpoints (each probe one exact perturbed run) either returns a
-threshold or narrows the interval so that one more element is agreed on.
-This is a Megiddo-style parametric search (Megiddo, "Combinatorial
-optimization with rational objective functions", 1979).  The symbolic
-pass is resumed, not restarted, after each round: the interval only
-shrinks, so the elements already agreed on stay agreed and the pass costs
-one envelope computation per element plus one per round in total.
+dual variable and residual cost a linear function of lambda.  Per element
+the pass compares the line lowest just right of lo with the line lowest
+just left of hi; the first element where they differ has candidate lines
+that cross inside the interval, and only there are the breakpoints of
+their lower envelope computed.  A binary search over those breakpoints
+(each probe one exact perturbed run) either returns a threshold or
+narrows the interval so that one more element is agreed on.  This is a
+Megiddo-style parametric search (Megiddo, "Combinatorial optimization
+with rational objective functions", 1979).  The symbolic pass is
+resumed, not restarted, after each round: the interval only shrinks, so
+the elements already agreed on stay agreed, and a whole search computes
+one lower envelope per round.
 
-The pass keeps its lines as int pairs: intercepts are multiples of 1/L_c
-and slopes multiples of 1/L_p (L_c, L_p the lcms of the cost and profit
-denominators), so both are scaled by L = lcm(L_c, L_p).  A crossing
-(A1 - A2) / (B2 - B1) of two scaled lines is the same multiplier as that
-of the unscaled ones, so breakpoints need no change of unit;
-`lower_envelope_breakpoints` compares crossings by cross-multiplication
-with one body for int and Fraction lines.  The agreed lines are decoded
-to Fractions only as the result records them.  The probes run the
-packed-int kernel of `pcover.kolen`, and their coverage is an int sum of
-the scaled profits over the covered element mask; only the runs that the
-result keeps have their duals decoded.
+The pass keeps its lines as int pairs in the kernel's units: intercepts
+over L_c and slopes over L_p (L_c, L_p the lcms of the cost and profit
+denominators, `Instance.scaled_costs()` and `scaled_profits()`).  A line
+is evaluated at lambda = n/d as A L_p d + B L_c n, so the two ends are
+compared by int cross-products; `lower_envelope_breakpoints` compares
+crossings by cross-multiplication with one body for int and Fraction
+lines, and gets the split element's lines scaled by L_c L_p, which moves
+no crossing.  The agreed lines are decoded to Fractions only when a
+result's `agreed_lines` is read.
+
+Each round's probes resume from the agreed lines: every probe multiplier
+is a breakpoint strictly inside the interval, perturbed or not, so the
+agreed duals and every set's residual at it are the lines' values, and
+`pcover.kolen` runs the packed-int update only from the split element
+on (`kolen.LinePrefix`).  Probe coverage is an int sum of the scaled
+profits over the covered element mask (`model.ScaledCoverage`); only the
+runs that the result keeps have their duals decoded.
 
 Any materialized run that covers exactly P short-circuits the search: by
 the exactness certificate such a cover is optimal for the partial problem.
@@ -39,12 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .arith import DeltaRational
 from .errors import InfeasibleError, InternalInvariantError
-from .kolen import KolenResult, kolen
-from .model import (EMPTY_COVER, Cover, Instance, bit_indices,
+from .kolen import KolenResult, LinePrefix, kolen
+from .model import (EMPTY_COVER, Cover, Instance, ScaledCoverage,
                     covered_element_mask)
 
 Line = tuple[Fraction, Fraction]  # (intercept, slope) as a function of lambda
@@ -106,8 +113,10 @@ class ThresholdResult:
     itself (no formal perturbation); its coverage decides which perturbed
     run the combination step pairs it with.
 
-    `agreed_lines` are the per-element dual functions (intercept, slope)
-    valid throughout `interval`, recorded for the linearity check.
+    `lines` are the per-element dual functions valid throughout
+    `interval`, recorded for the linearity check, as int pairs (A, B) over
+    `line_scales` = (L_c, L_p); `agreed_lines` decodes them to Fraction
+    pairs (intercept, slope).
     """
 
     lambda_star: Fraction
@@ -118,7 +127,13 @@ class ThresholdResult:
     at_star: KolenResult | None = None
     star_covered: Fraction | None = None
     interval: tuple[Fraction, Fraction] | None = None
-    agreed_lines: tuple[Line, ...] = ()
+    lines: tuple[tuple[int, int], ...] = ()
+    line_scales: tuple[int, int] = (1, 1)
+
+    @property
+    def agreed_lines(self) -> tuple[Line, ...]:
+        l_c, l_p = self.line_scales
+        return tuple((Fraction(a, l_c), Fraction(b, l_p)) for a, b in self.lines)
 
     def merge_pair(self, target) -> tuple[KolenResult, KolenResult]:
         """(infeasible run, feasible run): one concrete, one perturbed.
@@ -139,62 +154,68 @@ class ThresholdResult:
 class _SymbolicPass:
     """The dual update run symbolically, resumed from round to round.
 
-    Every dual variable and residual cost is a line (intercept, slope) in
-    lambda, kept as a pair of ints scaled by L = lcm(L_c, L_p): intercepts
-    are multiples of 1/L_c (costs minus duals) and slopes multiples of
-    1/L_p (profits minus duals), so scaling both by L changes no crossing.
-    `advance(lo, hi)` continues from the first element not yet agreed on
-    and returns ('agree', lines) when every element's dual is a single
-    linear function of lambda across the open interval, else ('split', i,
-    breakpoints, lines-so-far) for the first element whose candidate
-    envelope changes identity inside it; the lines it returns are
-    Fractions.  The search only ever shrinks the interval, and lines that
-    agree on an interval agree on every subinterval, so agreed elements are
-    never run again and a whole search calls `lower_envelope_breakpoints`
-    at most n + rounds times.
+    Every dual variable and residual cost is a line in lambda, a pair
+    (A, B) of ints standing for A / L_c + lambda * B / L_p.  `advance(lo,
+    hi)` continues from the first element not yet agreed on.  Per element
+    it picks the line lowest just right of lo (ties to the smaller slope)
+    and the line lowest just left of hi (ties to the larger slope).  Any
+    other line minus one lowest at both ends is linear and nonnegative at
+    both ends, so that line is lowest throughout and is the element's
+    agreed dual.  Different lines mean the envelope changes inside the
+    interval: `advance` then returns (breakpoints, prefix), the
+    breakpoints of that element's candidate lines and the agreed lines as
+    a `kolen.LinePrefix`.  The search only ever shrinks the interval, and
+    lines that agree on an interval agree on every subinterval, so agreed
+    elements are never run again and `lower_envelope_breakpoints` runs
+    once per round.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        l_c, costs = instance.scaled_costs()
-        l_p, profits = instance.scaled_profits()
-        self.scale = lcm(l_c, l_p)
-        self.caps = [(0, p * (self.scale // l_p)) for p in profits]
-        self.residuals = [(c * (self.scale // l_c), 0) for c in costs]
+        self.l_c, costs = instance.scaled_costs()
+        self.l_p, self.profits = instance.scaled_profits()
+        self.residuals = [(c, 0) for c in costs]
         self.lines: list[tuple[int, int]] = []
-        self.decoded: list[Line] = []
-
-    def _agreed(self) -> tuple[Line, ...]:
-        scale, decoded = self.scale, self.decoded
-        decoded.extend((Fraction(a, scale), Fraction(b, scale))
-                       for a, b in self.lines[len(decoded):])
-        return tuple(decoded)
+        self.positive = 0  # the agreed elements whose line is not zero
 
     def advance(self, lo: Fraction, hi: Fraction):
-        residuals, lines = self.residuals, self.lines
+        residuals, lines, profits = self.residuals, self.lines, self.profits
+        l_c, l_p = self.l_c, self.l_p
         element_sets = self.instance.element_sets()
-        mid = (lo + hi) / 2
-        mid_n, mid_d = mid.numerator, mid.denominator
+        # A line at n/d, times L_c L_p d, is A (L_p d) + B (L_c n).
+        lo_a, lo_b = l_p * lo.denominator, l_c * lo.numerator
+        hi_a, hi_b = l_p * hi.denominator, l_c * hi.numerator
         for i in range(len(lines), self.instance.n):
             sets = element_sets[i]
-            candidates = [residuals[j] for j in sets]
-            candidates.append(self.caps[i])
-            bps = lower_envelope_breakpoints(candidates, (lo, hi))
-            if bps:
-                return ("split", i, bps, self._agreed())
-            values = [a * mid_d + b * mid_n for a, b in candidates]
-            best_value = min(values)
-            winners = {ln for ln, v in zip(candidates, values) if v == best_value}
-            if len(winners) != 1:
-                raise InternalInvariantError(
-                    f"element {i}: distinct minimal lines without an envelope breakpoint")
-            ya, yb = winners.pop()
-            lines.append((ya, yb))
+            p = profits[i]
+            entry = leave = (0, p)  # the penalty cap lambda * p_i
+            entry_at, leave_at = p * lo_b, p * hi_b
+            for j in sets:
+                line = residuals[j]
+                a, b = line
+                at = a * lo_a + b * lo_b
+                if at < entry_at or (at == entry_at and b < entry[1]):
+                    entry, entry_at = line, at
+                at = a * hi_a + b * hi_b
+                if at < leave_at or (at == leave_at and b > leave[1]):
+                    leave, leave_at = line, at
+            if entry != leave:
+                candidates = [(a * l_p, b * l_c) for a, b in map(residuals.__getitem__, sets)]
+                candidates.append((0, p * l_c))
+                bps = lower_envelope_breakpoints(candidates, (lo, hi))
+                if not bps:
+                    raise InternalInvariantError(
+                        f"element {i}: distinct lowest lines at the two ends "
+                        f"without an envelope breakpoint")
+                return bps, LinePrefix(tuple(lines), tuple(residuals), self.positive)
+            lines.append(entry)
+            ya, yb = entry
             if ya or yb:
+                self.positive |= 1 << i
                 for j in sets:
                     a, b = residuals[j]
                     residuals[j] = (a - ya, b - yb)
-        return ("agree", self._agreed())
+        raise InternalInvariantError("full agreement inside the bracketing interval")
 
 
 class _Prober:
@@ -202,39 +223,36 @@ class _Prober:
 
     The cache holds one round's runs: every breakpoint of a later round
     lies strictly inside the narrowed interval, so no run of an earlier
-    round can be asked for again, and `find_threshold` empties the cache
-    as each round starts.
+    round can be asked for again.  `start_round` empties the cache and
+    takes the round's agreed prefix, from which every probe of the round
+    resumes.
 
     Coverage is measured in units of 1/L_p, as an int sum of
     `Instance.scaled_profits()`; `goal` is the target in the same units.
-    `covered` walks the smaller side of the covered element mask: the
-    covered elements, or the coverable ones it misses, subtracted from
-    `coverable`, the scaled profit of every element some set contains.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.cache: dict[tuple[Fraction, int], KolenResult] = {}
         self.calls = 0
-        self.l_p, self.profits = instance.scaled_profits()
+        self.prefix: LinePrefix | None = None
+        self.l_p, profits = instance.scaled_profits()
         self.goal = instance.target * self.l_p
-        coverable = [i for i, mask in enumerate(instance.row_masks) if mask]
-        self.coverable_mask = sum(1 << i for i in coverable)
-        self.coverable = sum(map(self.profits.__getitem__, coverable))
+        self.scaled_coverage = ScaledCoverage(instance, profits)
+
+    def start_round(self, prefix: LinePrefix) -> None:
+        self.cache.clear()
+        self.prefix = prefix
 
     def run(self, lam: Fraction, side: int) -> KolenResult:
         key = (lam, side)
         if key not in self.cache:
-            self.cache[key] = kolen(self.instance, DeltaRational(lam, side))
+            self.cache[key] = kolen(self.instance, DeltaRational(lam, side), self.prefix)
             self.calls += 1
         return self.cache[key]
 
     def covered(self, cover: Cover) -> int:
-        mask = covered_element_mask(self.instance, cover)
-        missed = self.coverable_mask & ~mask
-        if missed.bit_count() < mask.bit_count():
-            return self.coverable - sum(map(self.profits.__getitem__, bit_indices(missed)))
-        return sum(map(self.profits.__getitem__, bit_indices(mask)))
+        return self.scaled_coverage(covered_element_mask(self.instance, cover))
 
     def coverage(self, lam: Fraction, side: int) -> int:
         return self.covered(self.run(lam, side).pruned)
@@ -275,10 +293,17 @@ def find_threshold(instance: Instance) -> ThresholdResult:
         return ThresholdResult(Fraction(0), None, None, prober.run(Fraction(0), 0),
                                prober.calls)
 
-    costs, profits = instance.costs, instance.profits
-    hi = 2 * max(max(map(costs.__getitem__, sets)) / profits[i]
-                 for i, sets in enumerate(instance.element_sets())
-                 if sets and profits[i] > 0)
+    # hi is twice the largest cost / profit ratio of an element and a set
+    # containing it, found by cross-multiplying the scaled ints.
+    l_c, costs = instance.scaled_costs()
+    l_p, profits = instance.scaled_profits()
+    top_c, top_p = 0, 1
+    for sets, p in zip(instance.element_sets(), profits):
+        if sets and p > 0:
+            c = max(map(costs.__getitem__, sets))
+            if c * top_p > top_c * p:
+                top_c, top_p = c, p
+    hi = Fraction(2 * top_c * l_p, top_p * l_c)
     lo = Fraction(0)
     if hi <= 0:
         raise InternalInvariantError("degenerate initial interval")
@@ -290,12 +315,9 @@ def find_threshold(instance: Instance) -> ThresholdResult:
 
     symbolic = _SymbolicPass(instance)
     for _round in range(instance.n + 1):
-        prober.cache.clear()
-        outcome = symbolic.advance(lo, hi)
-        if outcome[0] == "agree":
-            raise InternalInvariantError(
-                "full agreement inside the bracketing interval")
-        _, element, bps, agreed = outcome
+        bps, prefix = symbolic.advance(lo, hi)
+        prober.start_round(prefix)
+        found = {"interval": (lo, hi), "lines": prefix.y, "line_scales": (l_c, l_p)}
 
         lo_idx, hi_idx = 0, len(bps) + 1
         exact = None
@@ -311,8 +333,7 @@ def find_threshold(instance: Instance) -> ThresholdResult:
                 lo_idx = mid
         if exact is not None:
             return ThresholdResult(exact, None, None, prober.run(exact, -1),
-                                   prober.calls, interval=(lo, hi),
-                                   agreed_lines=agreed)
+                                   prober.calls, **found)
 
         if lo_idx == 0:
             hi = bps[0]
@@ -323,19 +344,18 @@ def find_threshold(instance: Instance) -> ThresholdResult:
         plus_cov = prober.coverage(lam_a, +1)
         if plus_cov == goal:
             return ThresholdResult(lam_a, None, None, plus_run, prober.calls,
-                                   interval=(lo, hi), agreed_lines=agreed)
+                                   **found)
         if plus_cov > goal:
             below = prober.run(lam_a, -1)
             star_run = prober.run(lam_a, 0)
             star_cov = prober.coverage(lam_a, 0)
             if star_cov == goal:
                 return ThresholdResult(lam_a, below, plus_run, star_run,
-                                       prober.calls, interval=(lo, hi),
-                                       agreed_lines=agreed)
+                                       prober.calls, **found)
             return ThresholdResult(lam_a, below, plus_run, None, prober.calls,
                                    at_star=star_run,
                                    star_covered=Fraction(star_cov, prober.l_p),
-                                   interval=(lo, hi), agreed_lines=agreed)
+                                   **found)
         lo = lam_a
         if hi_idx <= len(bps):
             hi = bps[hi_idx - 1]

@@ -14,12 +14,13 @@ from kolen_reference import (reference_audit_optimality, reference_dual_lines,
                              reference_kolen)
 from pcover import arith, lp, model, pipeline, threshold
 from pcover.arith import DeltaRational, common_scale, fraction_sum
-from pcover.errors import AuditError
+from pcover.errors import AuditError, InternalInvariantError
 from pcover.generators import Lcg, corpus_instance, gen_gap_family
-from pcover.kolen import (DualSolution, KolenResult, audit_optimality,
-                          dual_update, kolen, reverse_delete)
+from pcover.kolen import (DualSolution, KolenResult, LinePrefix,
+                          audit_optimality, dual_update, kolen, reverse_delete)
 from pcover.merger import MergeContext
-from pcover.model import Cover, Instance, bit_indices, make_instance
+from pcover.model import (Cover, Instance, PermutationPair, bit_indices,
+                          make_instance, permute_instance)
 from pcover.pipeline import CORPUS_LAMBDAS, solve_partial_tbc, to_greedy_form
 from pcover.threshold import find_threshold
 
@@ -101,6 +102,21 @@ def test_kernel_dual_is_decoded_on_first_read():
     assert isinstance(first, DualSolution) and run.dual is first
 
 
+def kernel_prefix(instance, lines):
+    """Fraction dual lines of the first elements as the `LinePrefix` the
+    probes resume from: int pairs over (L_c, L_p), every set's residual
+    after them, and the mask of the nonzero lines."""
+    l_c, l_p = instance.scaled_costs()[0], instance.scaled_profits()[0]
+    y = tuple(((a * l_c).numerator, (b * l_p).numerator) for a, b in lines)
+    residuals = []
+    for c, mask in zip(instance.scaled_costs()[1], instance.col_masks):
+        members = [k for k in bit_indices(mask) if k < len(y)]
+        residuals.append((c - sum(y[k][0] for k in members),
+                          -sum(y[k][1] for k in members)))
+    positive = sum(1 << k for k, line in enumerate(y) if line != (0, 0))
+    return LinePrefix(y, tuple(residuals), positive)
+
+
 class RestartPass:
     """The symbolic pass restarted: every round runs from element 0."""
 
@@ -108,8 +124,12 @@ class RestartPass:
         self.instance = instance
 
     def advance(self, lo, hi):
-        return reference_dual_lines(self.instance, lo, hi,
-                                    threshold.lower_envelope_breakpoints)
+        outcome = reference_dual_lines(self.instance, lo, hi,
+                                       threshold.lower_envelope_breakpoints)
+        if outcome[0] == "agree":
+            raise InternalInvariantError("full agreement inside the bracketing interval")
+        _, _element, bps, lines = outcome
+        return bps, kernel_prefix(self.instance, lines)
 
 
 def counted_search(monkeypatch, instance, symbolic_pass):
@@ -156,6 +176,60 @@ def test_resumed_pass_matches_restart_reference(monkeypatch):
         assert calls <= inst.n + rounds
         saved += ref_calls - calls
     assert saved > 0
+
+
+def test_envelope_runs_once_per_round(monkeypatch):
+    # Only a split element's candidate lines cross inside the interval, so
+    # the pass computes one lower envelope per round.
+    works = list(search_instances())
+    works += [to_greedy_form(gen_gap_family(q).instance)[0] for q in (3, 4)]
+    total = 0
+    for inst in works:
+        _result, calls, rounds = counted_search(monkeypatch, inst, threshold._SymbolicPass)
+        assert calls == rounds
+        total += rounds
+    assert total > len(works)
+
+
+def shuffled(instance, seed):
+    """The instance with rows, then columns, put in a Fisher-Yates order
+    drawn from one `Lcg(seed)` stream (the benchmark's `relabel`)."""
+    rng = Lcg(seed)
+
+    def fisher_yates(n):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        return tuple(perm)
+
+    rows = fisher_yates(instance.n)
+    return permute_instance(instance, PermutationPair(rows, fisher_yates(instance.m)))
+
+
+def test_resumed_probes_match_runs_from_element_zero(monkeypatch):
+    # Every probe resumes after the round's agreed lines; its covers and its
+    # decoded dual must be those of the run from element 0.
+    probes = []
+
+    def refereed(instance, lam, prefix=None):
+        run = kolen(instance, lam, prefix)
+        ref = kolen(instance, lam)
+        assert (run.pruned, run.tight) == (ref.pruned, ref.tight)
+        assert run.dual == ref.dual
+        probes.append(0 if prefix is None else len(prefix.y))
+        return run
+
+    monkeypatch.setattr(threshold, "kolen", refereed)
+    works = [to_greedy_form(corpus_instance(seed))[0] for seed in range(600)]
+    for q in (1, 2, 3, 4):
+        gap = gen_gap_family(q).instance
+        works += [to_greedy_form(inst)[0]
+                  for inst in [gap] + [shuffled(gap, seed) for seed in range(1, 6)]]
+    works += fractional_instances(40)
+    for work in works:
+        find_threshold(work)
+    assert sum(1 for start in probes if start > 0) > len(works)
 
 
 def audit_outcome(audit):
@@ -297,8 +371,8 @@ def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):
     packed_update = kolen_module._packed_dual_update
     sabotaged_sets = []
 
-    def one_wrong_residual(instance, lam):
-        packed = packed_update(instance, lam)
+    def one_wrong_residual(instance, lam, prefix=None):
+        packed = packed_update(instance, lam, prefix)
         residuals = list(packed.residuals)
         j = max((j for j, r in enumerate(residuals) if r > 0), default=None)
         if j is None:

@@ -196,9 +196,9 @@ def test_kolen_calls_count_distinct_runs(monkeypatch):
     # (lambda, side) run.
     runs = []
 
-    def recording(instance, lam):
+    def recording(instance, lam, prefix=None):
         runs.append((lam.value, lam.delta))
-        return kolen(instance, lam)
+        return kolen(instance, lam, prefix)
 
     monkeypatch.setattr(threshold, "kolen", recording)
     works = [to_greedy_form(corpus_instance(seed))[0] for seed in range(600)]

@@ -67,10 +67,14 @@ def cmd_solve(args) -> int:
     if args.decomposition:
         decomposition = formats.parse_decomposition(
             _read(args.decomposition), instance.n, instance.m)
-        decomposition.validate_against(instance.rows)
+        decomposition.validate_against(instance)
 
     if args.absorb:
-        k = int(args.absorb[0])
+        try:
+            k = int(args.absorb[0])
+        except ValueError:
+            raise InputError(f"absorb K must be an integer, "
+                             f"got {args.absorb[0]!r}") from None
         alpha = _rational_arg(args.absorb[1])
         cover = pipeline.absorb_additive_error(instance, k, alpha, decomposition)
         payload = {
@@ -168,8 +172,11 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     check = args.check
-    if check == "tb":
+    if check in ("tb", "sgf", "lp-duality"):
+        if args.input is None:
+            raise InputError(f"verify {check} needs --input")
         instance = formats.parse_instance(_read(args.input))
+    if check == "tb":
         direct = is_totally_balanced(instance.row_masks, instance.m)
         sgf = standard_greedy_form(instance.row_masks, instance.m)
         agree = direct == sgf.ok
@@ -177,7 +184,6 @@ def cmd_verify(args) -> int:
               f"{'PASS' if agree else 'FAIL'}")
         return EXIT_OK if agree else EXIT_AUDIT
     if check == "sgf":
-        instance = formats.parse_instance(_read(args.input))
         sgf = standard_greedy_form(instance.row_masks, instance.m)
         if sgf.ok:
             print(f"greedy standard form found ({sgf.mode}); "
@@ -187,7 +193,6 @@ def cmd_verify(args) -> int:
               "survives the doubly lexical ordering")
         return EXIT_AUDIT
     if check == "lp-duality":
-        instance = formats.parse_instance(_read(args.input))
         primal = solve_lp(instance)
         dual = solve_dual(instance, primal)
         ok = primal.value == dual.value
@@ -210,10 +215,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+    except ValueError:
+        raise InputError(f"bad seed range {text!r}: expected A..B or A") from None
 
 
 def cmd_experiment(args) -> int:
@@ -227,8 +233,8 @@ def cmd_experiment(args) -> int:
                      "pair_value": str(pair.value),
                      "xt_cost": str(3 * len(fam.xt))}
             if q == 1:
-                lp = solve_lp(fam.instance)
-                entry["lp"] = str(lp.value)
+                # The solve certifies its LP value by strong duality.
+                entry["lp"] = str(pipeline.solve_partial_tbc(fam.instance).lp_value)
                 _, ip = pipeline.brute_force_partial(fam.instance)
                 entry["ip"] = str(ip)
             rows.append(entry)

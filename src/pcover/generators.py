@@ -520,7 +520,7 @@ def reduce_multicut(tree: TreeInstance):
     instance = make_instance(rows, tree.edge_costs, profits, target)
     decomposition = Decomposition(2, (tuple(tuple(r) for r in part1),
                                       tuple(tuple(r) for r in part2)))
-    decomposition.validate_against(instance.rows)
+    decomposition.validate_against(instance)
     return instance, decomposition
 
 
@@ -573,7 +573,7 @@ def reduce_path_hitting(tree: TreeInstance, cover_paths, demand_paths,
     instance = make_instance(rows, half_costs, profits, resolved)
     decomposition = Decomposition(2, (tuple(tuple(r) for r in part1),
                                       tuple(tuple(r) for r in part2)))
-    decomposition.validate_against(instance.rows)
+    decomposition.validate_against(instance)
     meta = {"cost_factor": 2, "half_parent": tuple(parent_of_half),
             "guarantee": "4 + eps (2 from separability x 2 from cost doubling)"}
     return instance, decomposition, meta
@@ -684,5 +684,5 @@ def reduce_rectangle_stabbing(rect: RectangleInstance):
     target = total / 2 if rect.target is None else rect.target
     instance = make_instance(rows, costs, profits, target)
     decomposition = Decomposition(d, tuple(parts))
-    decomposition.validate_against(instance.rows)
+    decomposition.validate_against(instance)
     return instance, decomposition, d == 1

@@ -7,6 +7,9 @@ forest, `merge` flips whole subtrees while the working cover stays short
 of the target, then hands over to the mutually recursive `increase` /
 `decrease` pair, which either finish cheaply or split a subtree, paying
 one extra set but shrinking the coverage offset at least threefold.
+A set of set indices (a cover, a side of the graph, a subtree) is one int
+mask, bit j for set j: a flip is an XOR, and a `Cover` is built only for
+the result.
 
 Every structural fact the analysis relies on is asserted at runtime:
 graph shape, alternating edge occupancy, entry preconditions, the
@@ -17,7 +20,7 @@ denominators and the target's denominator) and the costs scaled by L_c
 (`Instance.scaled_costs`); its trace and messages are Fractions in
 original units.  Coverage is one OR of the cover's column masks and an
 int sum of the scaled profits over the smaller side of that mask
-(`model.ScaledCoverage`), kept once per distinct mask.  `merge` checks
+(`model.ScaledCoverage`), kept once per distinct cover mask.  `merge` checks
 its entry and its result with that same coverage against the scaled
 target, which decides exactly the predicates on Fractions; the final
 cost bound is re-checked by `audit_merge_bound`, and the solve's
@@ -41,21 +44,28 @@ from .model import Cover, Instance, ScaledCoverage, bit_indices, cover_cost
 class MergerGraph:
     """Forest of out-branchings over the symmetric difference of two covers.
 
-    `minus_only` and `plus_only` tag each vertex's side; every edge joins
-    opposite sides and points from the larger to the smaller set index.
+    Sets of set indices are int masks, bit j for set j: `minus_only` and
+    `plus_only` tag each vertex's side, and `subtrees[j]` holds j and its
+    descendants.  Every edge joins opposite sides and points from the
+    larger to the smaller set index.
     """
 
     vertices: tuple[int, ...]
-    minus_only: frozenset[int]
-    plus_only: frozenset[int]
+    minus_only: int
+    plus_only: int
     edges: tuple[tuple[int, int], ...]
     parent: dict[int, int]
     children: dict[int, tuple[int, ...]]
     roots: tuple[int, ...]
-    subtrees: dict[int, frozenset[int]]
+    subtrees: dict[int, int]
 
-    def subtree(self, j: int) -> frozenset[int]:
+    def subtree(self, j: int) -> int:
         return self.subtrees[j]
+
+
+def _set_mask(cover: Cover) -> int:
+    """The cover's sets as a mask, bit j for set j."""
+    return sum(1 << j for j in cover.sets)
 
 
 def build_merger_graph(instance: Instance,
@@ -67,19 +77,17 @@ def build_merger_graph(instance: Instance,
     share an element of positive dual in the run of j1's side.  Each
     vertex's dominators are read off one OR of the row masks of its
     positive-dual elements, so the build takes O(nnz) mask operations.
+    Every edge decreases, so one ascending scan builds each subtree mask
+    from its children's, which come first.
 
-    Fails loudly (InternalInvariantError) on in-degree two or a cycle;
-    either would contradict the forest guarantee and signals an upstream
-    bug, not bad input.
+    Fails loudly (InternalInvariantError) on in-degree two or an edge that
+    does not decrease; either would contradict the forest guarantee and
+    signals an upstream bug, not bad input.
     """
-    minus_set = pruned_minus.as_set()
-    plus_set = pruned.as_set()
-    minus_only = frozenset(minus_set - plus_set)
-    plus_only = frozenset(plus_set - minus_set)
-    vertices = tuple(sorted(minus_only | plus_only))
-
-    minus_mask = sum(1 << j for j in minus_only)
-    plus_mask = sum(1 << j for j in plus_only)
+    minus_mask, plus_mask = _set_mask(pruned_minus), _set_mask(pruned)
+    minus_only = minus_mask & ~plus_mask
+    plus_only = plus_mask & ~minus_mask
+    vertices = bit_indices(minus_only | plus_only)
     pos_minus = dual_minus.positive_y_mask()
     pos_plus = dual.positive_y_mask()
 
@@ -87,10 +95,10 @@ def build_merger_graph(instance: Instance,
     parent: dict[int, int] = {}
     conflicts = []
     for j2 in vertices:
-        if j2 in plus_only:
-            side, pos = minus_mask, pos_minus
+        if plus_only >> j2 & 1:
+            side, pos = minus_only, pos_minus
         else:
-            side, pos = plus_mask, pos_plus
+            side, pos = plus_only, pos_plus
         sets = 0
         for i in bit_indices(instance.col_masks[j2] & pos):
             sets |= instance.row_masks[i]
@@ -106,48 +114,28 @@ def build_merger_graph(instance: Instance,
         raise InternalInvariantError(
             f"vertex {j2} has two dominators: {first} and {second}")
 
-    for j1, j2 in edges:
+    children: dict[int, list[int]] = {v: [] for v in vertices}
+    for j1, j2 in edges:  # ascending in j2, so each child list is sorted
         if j1 <= j2:
             raise InternalInvariantError(f"edge ({j1}, {j2}) does not decrease")
-
-    children: dict[int, list[int]] = {v: [] for v in vertices}
-    for j1, j2 in edges:
         children[j1].append(j2)
-    for v in children:
-        children[v].sort()
 
-    roots = tuple(v for v in vertices if v not in parent)
-
-    subtrees: dict[int, frozenset[int]] = {}
-
-    def collect(v: int, seen: set[int]) -> frozenset[int]:
-        if v in seen:
-            raise InternalInvariantError(f"cycle through vertex {v}")
-        seen.add(v)
-        acc = {v}
-        for c in children[v]:
-            acc |= collect(c, seen)
-        sub = frozenset(acc)
-        subtrees[v] = sub
-        return sub
-
-    visited: set[int] = set()
-    for r in roots:
-        collect(r, visited)
-    if len(visited) != len(vertices):
-        raise InternalInvariantError("merger graph contains a cycle")
+    subtrees: dict[int, int] = {}
+    for v in vertices:  # children have smaller indices: already built
+        subtrees[v] = reduce(or_, map(subtrees.__getitem__, children[v]), 1 << v)
 
     return MergerGraph(vertices=vertices, minus_only=minus_only,
                        plus_only=plus_only, edges=tuple(sorted(edges)),
                        parent=parent,
                        children={v: tuple(c) for v, c in children.items()},
-                       roots=roots, subtrees=subtrees)
+                       roots=tuple(v for v in vertices if v not in parent),
+                       subtrees=subtrees)
 
 
 def absolute_benefits(instance: Instance, union_cover: Cover) -> dict[int, Fraction]:
     """Per-set profit of elements only that set covers within the union."""
     table: dict[int, Fraction] = {j: Fraction(0) for j in union_cover.sets}
-    union_mask = sum(1 << j for j in union_cover.sets)
+    union_mask = _set_mask(union_cover)
     for profit, mask in zip(instance.profits, instance.row_masks):
         owners = mask & union_mask
         if owners and not owners & (owners - 1):  # exactly one owner
@@ -155,10 +143,12 @@ def absolute_benefits(instance: Instance, union_cover: Cover) -> dict[int, Fract
     return table
 
 
-def relative_benefit(graph: MergerGraph, j: int, D, benefits):
-    """Signed coverage change of flipping the subtree at j against D, in
-    the units of `benefits`."""
-    return sum(-benefits[v] if v in D else benefits[v] for v in graph.subtree(j))
+def relative_benefit(graph: MergerGraph, j: int, D: int, benefits):
+    """Signed coverage change of flipping the subtree at j against the
+    cover mask D, in the units of `benefits` (indexed by set)."""
+    sub = graph.subtree(j)
+    return (sum(map(benefits.__getitem__, bit_indices(sub & ~D)))
+            - sum(map(benefits.__getitem__, bit_indices(sub & D))))
 
 
 @dataclass(frozen=True)
@@ -209,7 +199,7 @@ class MergeContext:
     Fraction in original units.
 
     `increase` and `decrease` mutate nothing outside the trace; covers are
-    passed and returned as frozensets of set indices.
+    passed and returned as int masks of set indices.
     """
 
     def __init__(self, graph: MergerGraph, instance: Instance, target: Fraction,
@@ -222,29 +212,31 @@ class MergeContext:
         self.scaled_coverage = ScaledCoverage(instance, [p * factor for p in profits])
         self.costs = instance.scaled_costs()[1]
         self.target = _scaled(target, self.scale, "target")
-        self.benefits = {j: _scaled(b, self.scale, f"benefit of set {j}")
-                         for j, b in benefits.items()}
+        self.benefits = [0] * instance.m
+        for j, b in benefits.items():
+            self.benefits[j] = _scaled(b, self.scale, f"benefit of set {j}")
         self.trace = MergeTrace(target=target)
         self._coverage: dict[int, int] = {}
 
     def unscaled(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
 
-    def coverage(self, D) -> int:
-        """Scaled profit covered by D, summed once per distinct element mask."""
-        mask = reduce(or_, map(self.instance.col_masks.__getitem__, D), 0)
-        if mask not in self._coverage:
-            self._coverage[mask] = self.scaled_coverage(mask)
-        return self._coverage[mask]
+    def coverage(self, D: int) -> int:
+        """Scaled profit covered by D, summed once per distinct cover."""
+        if D not in self._coverage:
+            elements = reduce(or_, map(self.instance.col_masks.__getitem__,
+                                       bit_indices(D)), 0)
+            self._coverage[D] = self.scaled_coverage(elements)
+        return self._coverage[D]
 
-    def cost(self, D) -> int:
+    def cost(self, D: int) -> int:
         """Cost of D scaled by L_c (`Instance.scaled_costs`), for comparison."""
-        return sum(map(self.costs.__getitem__, D))
+        return sum(map(self.costs.__getitem__, bit_indices(D)))
 
-    def benefit(self, j: int, D) -> int:
+    def benefit(self, j: int, D: int) -> int:
         return relative_benefit(self.graph, j, D, self.benefits)
 
-    def flip(self, D: frozenset[int], j: int) -> frozenset[int]:
+    def flip(self, D: int, j: int) -> int:
         """Symmetric difference with the subtree at j, identity-checked."""
         after = D ^ self.graph.subtree(j)
         gain = self.coverage(after) - self.coverage(D)
@@ -255,23 +247,26 @@ class MergeContext:
                 f"with relative benefit {self.unscaled(expected)}")
         return after
 
-    def check_alternating(self, D: frozenset[int]) -> None:
-        split_so_far = set(self.trace.split_vertices)
+    def check_alternating(self, D: int) -> None:
+        inside = format(D, f"0{self.instance.m}b")[::-1]  # inside[j]: bit j of D
+        split = reduce(or_, (1 << v for v in self.trace.split_vertices), 0)
         for a, b in self.graph.edges:
-            in_a, in_b = a in D, b in D
+            in_a, in_b = inside[a] == "1", inside[b] == "1"
             if not in_a and not in_b:
                 raise InternalInvariantError(f"edge ({a}, {b}) has no endpoint in D")
-            if in_a and in_b and not ({a, b} & split_so_far):
+            if in_a and in_b and not (split >> a | split >> b) & 1:
                 raise InternalInvariantError(
                     f"edge ({a}, {b}) fully inside D without a prior split")
 
-    def pick_cheaper(self, first: frozenset[int], second: frozenset[int]) -> frozenset[int]:
-        ca, cb = self.cost(first), self.cost(second)
+    def pick_cheaper(self, first: int, second: int) -> int:
+        # Costs add up, so the sets both covers hold cancel out.
+        common = first & second
+        ca, cb = self.cost(first ^ common), self.cost(second ^ common)
         if ca != cb:
             return first if ca < cb else second
-        return first if tuple(sorted(first)) <= tuple(sorted(second)) else second
+        return first if bit_indices(first) <= bit_indices(second) else second
 
-    def _enter(self, kind: str, j: int, D: frozenset[int]) -> tuple[int, int]:
+    def _enter(self, kind: str, j: int, D: int) -> tuple[int, int]:
         """Record the call and return (p(D), benefit of j against D)."""
         pD = self.coverage(D)
         b = self.benefit(j, D)
@@ -284,14 +279,14 @@ class MergeContext:
             f"{kind}({j}) precondition broken: p(D)={self.unscaled(pD)}, "
             f"benefit={self.unscaled(b)}, P={self.unscaled(self.target)}")
 
-    def increase(self, j: int, D: frozenset[int]) -> frozenset[int]:
+    def increase(self, j: int, D: int) -> int:
         P = self.target
         pD, b = self._enter("increase", j, D)
         if not (pD <= P < pD + b):
             raise self._precondition_broken("increase", j, pD, b)
         self.check_alternating(D)
 
-        with_j = D | {j}
+        with_j = D | 1 << j
         if self.coverage(with_j) >= P:
             return with_j
 
@@ -324,14 +319,14 @@ class MergeContext:
             other = self.decrease(last, feasible)
         return self.pick_cheaper(feasible, other)
 
-    def decrease(self, j: int, D: frozenset[int]) -> frozenset[int]:
+    def decrease(self, j: int, D: int) -> int:
         P = self.target
         pD, b = self._enter("decrease", j, D)
         if not (pD >= P > pD + b):
             raise self._precondition_broken("decrease", j, pD, b)
         self.check_alternating(D)
 
-        flipped_plus_j = (D ^ self.graph.subtree(j)) | {j}
+        flipped_plus_j = (D ^ self.graph.subtree(j)) | 1 << j
         if self.coverage(flipped_plus_j) >= P:
             return flipped_plus_j
 
@@ -341,7 +336,7 @@ class MergeContext:
                 return self.decrease(c, D)
 
         entry_offset = abs(pD - P)
-        current = D | {j}
+        current = D | 1 << j
         remaining = list(kids)
         processed = 0
         last = None
@@ -365,7 +360,7 @@ class MergeContext:
         return self.pick_cheaper(feasible, other)
 
     def _record_split(self, kind: str, j: int, processed: int,
-                      entry_offset: int, infeasible, feasible) -> None:
+                      entry_offset: int, infeasible: int, feasible: int) -> None:
         self.trace.split_vertices.append(j)
         off_in = abs(self.coverage(infeasible) - self.target)
         off_fe = abs(self.coverage(feasible) - self.target)
@@ -378,16 +373,16 @@ class MergeContext:
                 f"{self.unscaled(entry_offset)} to {self.unscaled(min(off_in, off_fe))}")
 
 
-def increase(j: int, D, context: MergeContext) -> Cover:
-    """Grow an infeasible cover using the subtree at j (entry contract
-    asserted): returns a feasible cover inside the union."""
-    return Cover.of(context.increase(j, frozenset(D)))
+def increase(j: int, D: int, context: MergeContext) -> int:
+    """Grow an infeasible cover mask using the subtree at j (entry contract
+    asserted): returns a feasible cover mask inside the union."""
+    return context.increase(j, D)
 
 
-def decrease(j: int, D, context: MergeContext) -> Cover:
-    """Shrink an overshooting cover using the subtree at j (entry contract
-    asserted): returns a feasible cover inside the union."""
-    return Cover.of(context.decrease(j, frozenset(D)))
+def decrease(j: int, D: int, context: MergeContext) -> int:
+    """Shrink an overshooting cover mask using the subtree at j (entry
+    contract asserted): returns a feasible cover mask inside the union."""
+    return context.decrease(j, D)
 
 
 def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
@@ -398,13 +393,12 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
     lower cover already reaches the target it is returned unchanged.
     """
     P = instance.target
-    union = Cover.of(pruned_minus.as_set() | pruned.as_set())
-    benefits = absolute_benefits(instance, union)
-    run = MergeContext(graph, instance, P, benefits)
+    low, high = _set_mask(pruned_minus), _set_mask(pruned)
+    union = low | high
+    run = MergeContext(graph, instance, P,
+                       absolute_benefits(instance, Cover(bit_indices(union))))
     trace = run.trace
 
-    low = frozenset(pruned_minus.as_set())
-    high = frozenset(pruned.as_set())
     if run.coverage(low) >= run.target:
         trace.immediate = "lower cover already feasible"
         trace.final = pruned_minus
@@ -414,34 +408,26 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
                          f"{run.unscaled(run.coverage(high))} < {P}")
 
     D = low
-    ordered_roots = sorted(graph.roots, key=lambda r: min(graph.subtree(r)))
-    for r in ordered_roots:
+    # Roots in the order of their subtrees' lowest bits (smallest members).
+    for r in sorted(graph.roots, key=lambda r: graph.subtree(r) & -graph.subtree(r)):
         flipped = run.flip(D, r)
-        if run.coverage(flipped) <= run.target:
-            D = flipped
-            trace.root_flips += 1
-        else:
-            final = Cover.of(run.increase(r, D))
-            trace.final = final
-            _check_final(run, final, union)
-            return final, trace
+        if run.coverage(flipped) > run.target:
+            D = run.increase(r, D)
+            break
+        D = flipped
+        trace.root_flips += 1
+    else:
+        if D != high:
+            raise InternalInvariantError(
+                "all roots flipped but D differs from the upper cover")
+        trace.immediate = "all roots flipped (exact boundary)"
 
-    if D != high:
-        raise InternalInvariantError("all roots flipped but D differs from the upper cover")
     if run.coverage(D) < run.target:
-        raise InternalInvariantError("merge exhausted all roots while infeasible")
-    trace.immediate = "all roots flipped (exact boundary)"
-    final = Cover.of(D)
-    trace.final = final
-    _check_final(run, final, union)
-    return final, trace
-
-
-def _check_final(run: MergeContext, final: Cover, union: Cover) -> None:
-    if run.coverage(final.sets) < run.target:
         raise InternalInvariantError("merge returned an infeasible cover")
-    if not final.as_set() <= union.as_set():
+    if D & ~union:
         raise InternalInvariantError("merge returned sets outside the union")
+    trace.final = Cover(bit_indices(D))
+    return trace.final, trace
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,8 @@ class Instance:
     @property
     def rows(self) -> MatrixRows:
         """The 0/1 matrix as row tuples, built from `row_masks` on first use
-        and then kept; for the decomposition and equitable-coloring checks
-        and for tests, never on the solve path."""
+        and then kept; for the equitable-coloring check and for tests,
+        never on the solve path."""
         if self._rows is None:
             self._rows = tuple(tuple(mask >> j & 1 for j in range(self.m))
                                for mask in self.row_masks)
@@ -364,18 +364,18 @@ class Decomposition:
         if self.rho != len(self.parts) or self.rho < 1:
             raise InputError(f"decomposition has {len(self.parts)} parts, rho={self.rho}")
 
-    def validate_against(self, rows: MatrixRows) -> None:
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
+    def validate_against(self, instance: Instance) -> None:
+        """Check that the parts have the instance's shape and sum entrywise
+        to its matrix, read off `row_masks`."""
         for q, part in enumerate(self.parts):
-            if len(part) != n or any(len(r) != m for r in part):
+            if len(part) != instance.n or any(len(r) != instance.m for r in part):
                 raise InputError(f"part {q} has wrong shape")
-        for i in range(n):
-            for j in range(m):
-                total = sum(part[i][j] for part in self.parts)
-                if total != rows[i][j]:
+        for i, mask in enumerate(instance.row_masks):
+            sums = map(sum, zip(*(part[i] for part in self.parts)))
+            for j, total in enumerate(sums):
+                if total != mask >> j & 1:
                     raise InputError(
-                        f"parts sum to {total} != {rows[i][j]} at row {i}, column {j}")
+                        f"parts sum to {total} != {mask >> j & 1} at row {i}, column {j}")
 
     def restrict(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "Decomposition":
         parts = tuple(tuple(tuple(part[i][j] for j in keep_cols) for i in keep_rows)

@@ -280,10 +280,13 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     those parts is solved instead, and its cover is feasible for the
     original matrix.  At rho = 1 that matrix is the input itself, and
     `lp_value` comes from the inner solve's certified LP optimum instead of
-    a simplex.
+    a simplex.  Raises InputError for k < 1: the audited bound
+    (1 + 3**(1-k)) * rho * LP + k * c_max is stated for k >= 1.
     """
+    if k < 1:
+        raise InputError(f"k must be at least 1, got {k}")
     t0 = time.perf_counter()
-    decomposition.validate_against(instance.rows)
+    decomposition.validate_against(instance)
     rho = decomposition.rho
     if rho == 1:
         # The one part is the whole matrix: every element picks it.
@@ -338,6 +341,8 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
     the plain solve always participates, so the result never costs more
     than it.
     """
+    if k < 0:
+        raise InputError(f"absorption k must be nonnegative, got {k}")
     alpha = as_rational(alpha)
     if alpha <= 1:
         raise InputError(f"alpha must exceed 1, got {alpha}")

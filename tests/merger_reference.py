@@ -3,9 +3,10 @@
 `reference_build_merger_graph` tests every ordered pair of vertices for
 domination, O(V^2) pairs.  `FractionMergeContext` and `reference_merge`
 run the combining recursion with every coverage summed as Fractions, bit
-by bit, through `model.covered_profit`.  The tests referee the mask-based
-graph build and the scaled-int recursion against them; nothing in `src`
-imports this module.
+by bit, through `model.covered_profit`, on covers held as frozensets; sets
+become masks only in the `MergerGraph` they build, and `members` reads a
+subtree mask back.  The tests referee the mask-based graph build and the
+scaled-int recursion against them; nothing in `src` imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from fractions import Fraction
 from pcover.errors import InputError, InternalInvariantError
 from pcover.merger import (CallRecord, MergerGraph, MergeTrace, SplitRecord,
                            absolute_benefits)
-from pcover.model import Cover, cover_cost, covered_profit
+from pcover.model import Cover, bit_indices, cover_cost, covered_profit
+
+
+def members(mask):
+    return frozenset(bit_indices(mask))
+
+
+def mask_of(indices):
+    return sum(1 << j for j in indices)
 
 
 def reference_build_merger_graph(instance, pruned_minus, pruned, dual_minus, dual):
@@ -60,10 +69,10 @@ def reference_build_merger_graph(instance, pruned_minus, pruned, dual_minus, dua
         collect(r)
     if len(subtrees) != len(vertices):
         raise InternalInvariantError("merger graph contains a cycle")
-    return MergerGraph(vertices=vertices, minus_only=minus_only,
-                       plus_only=plus_only, edges=tuple(sorted(edges)),
+    return MergerGraph(vertices=vertices, minus_only=mask_of(minus_only),
+                       plus_only=mask_of(plus_only), edges=tuple(sorted(edges)),
                        parent=parent, children=children, roots=roots,
-                       subtrees=subtrees)
+                       subtrees={v: mask_of(sub) for v, sub in subtrees.items()})
 
 
 class FractionMergeContext:
@@ -81,12 +90,12 @@ class FractionMergeContext:
 
     def benefit(self, j, D) -> Fraction:
         total = Fraction(0)
-        for v in self.graph.subtree(j):
+        for v in members(self.graph.subtree(j)):
             total += -self.benefits[v] if v in D else self.benefits[v]
         return total
 
     def flip(self, D, j):
-        after = D ^ self.graph.subtree(j)
+        after = D ^ members(self.graph.subtree(j))
         gain = self.coverage(after) - self.coverage(D)
         expected = self.benefit(j, D)
         if gain != expected:
@@ -142,7 +151,7 @@ class FractionMergeContext:
             processed += 1
             last = best
         feasible = current
-        infeasible = feasible ^ self.graph.subtree(last)
+        infeasible = feasible ^ members(self.graph.subtree(last))
         self.record_split(j, processed, entry_offset, infeasible, feasible)
         if P - self.coverage(infeasible) < self.coverage(feasible) - P:
             other = self.increase(last, infeasible)
@@ -159,7 +168,7 @@ class FractionMergeContext:
             raise InternalInvariantError(
                 f"decrease({j}) precondition broken: p(D)={pD}, benefit={b}, P={P}")
         self.check_alternating(D)
-        flipped_plus_j = (D ^ self.graph.subtree(j)) | {j}
+        flipped_plus_j = (D ^ members(self.graph.subtree(j))) | {j}
         if self.coverage(flipped_plus_j) >= P:
             return flipped_plus_j
         kids = self.graph.children[j]
@@ -180,7 +189,7 @@ class FractionMergeContext:
             processed += 1
             last = best
         infeasible = current
-        feasible = infeasible ^ self.graph.subtree(last)
+        feasible = infeasible ^ members(self.graph.subtree(last))
         self.record_split(j, processed, entry_offset, infeasible, feasible)
         if 0 < self.coverage(feasible) - P < P - self.coverage(infeasible):
             other = self.increase(last, infeasible)
@@ -213,7 +222,7 @@ def reference_merge(graph, pruned_minus, pruned, instance):
         raise InputError(f"upper cover misses the target: "
                          f"{covered_profit(instance, pruned)} < {P}")
     D = frozenset(pruned_minus.as_set())
-    for r in sorted(graph.roots, key=lambda r: min(graph.subtree(r))):
+    for r in sorted(graph.roots, key=lambda r: min(members(graph.subtree(r)))):
         flipped = run.flip(D, r)
         if run.coverage(flipped) <= P:
             D = flipped

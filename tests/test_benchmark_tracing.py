@@ -12,7 +12,9 @@ from pathlib import Path
 
 from pcover.generators import (gen_gap_family, gen_random_tree_instance,
                                reduce_multicut)
-from pcover.pipeline import solve_partial_tbc
+from pcover.merger import build_merger_graph, merge
+from pcover.pipeline import solve_partial_tbc, to_greedy_form
+from pcover.threshold import find_threshold
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
 
@@ -78,3 +80,22 @@ def test_traced_lp_call_sites_are_reached_once(monkeypatch):
     pipeline = importlib.import_module("pcover.pipeline")
     pipeline.solve_rho_separable(*reduce_multicut(gen_random_tree_instance(1)))
     assert counts == Counter({"lp.solve_lp": 1, "lp.solve_dual": 1})
+
+
+def test_merge_hooks_count_the_graph_and_the_trace():
+    # The hooks read MergerGraph and MergeTrace; their counts must be those
+    # of a direct build and merge on the same input.
+    tracing = _load_tracing()
+    instance = gen_gap_family(2).instance
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        importlib.import_module("pcover.pipeline").solve_partial_tbc(instance)
+    work, _ = to_greedy_form(instance)
+    low, high = find_threshold(work).merge_pair(work.target)
+    graph = build_merger_graph(work, low.pruned, high.pruned, low.dual, high.dual)
+    _, trace = merge(graph, low.pruned, high.pruned, work)
+    assert trace.splits
+    names = ("merger.graph_vertices", "merger.graph_edges",
+             "merger.merge.recursive_calls", "merger.splits")
+    assert {name: tracer.counts[name] for name in names} == dict(zip(names, (
+        len(graph.vertices), len(graph.edges), len(trace.calls), len(trace.splits))))

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from cli_child import run_cli
-from pcover import formats
+from pcover import formats, lp
+from pcover.cli import main
 from pcover.errors import InputError
 from pcover.generators import (TreeInstance, corpus_instance,
+                               gen_random_tree_instance, reduce_multicut,
                                gen_random_descending_paths)
 from pcover.model import make_instance
 
@@ -270,6 +272,38 @@ def test_cli_experiment_gap(workdir):
     payload = json.loads((workdir / "gap.json").read_text())["payload"]
     assert payload["rows"][0]["lp"] == "13"
     assert payload["rows"][0]["ip"] == "15"
+
+
+def test_experiment_gap_runs_no_simplex(workdir, monkeypatch):
+    # The q = 1 LP value is the solve's, certified by strong duality.
+    calls = []
+    simplex = lp.solve_linear_program
+    monkeypatch.setattr(lp, "solve_linear_program",
+                        lambda *args: calls.append(args) or simplex(*args))
+    assert main(["experiment", "gap", "--qmax", "1",
+                 "--output", str(workdir / "gap.json")]) == 0
+    payload = json.loads((workdir / "gap.json").read_text())["payload"]
+    assert payload["rows"][0]["lp"] == "13"
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "corpus", "--seeds", "a..3"],
+    ["solve", "--input", "{pcov}", "--absorb", "x", "2"],
+    ["solve", "--input", "{pcov}", "--absorb", "-1", "2"],
+    ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--k", "0"],
+    ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--k", "-1"],
+    ["verify", "tb"],
+    ["verify", "sgf"],
+    ["verify", "lp-duality"],
+])
+def test_cli_bad_arguments_exit_2(workdir, capsys, argv):
+    instance, decomposition = reduce_multicut(gen_random_tree_instance(1))
+    (workdir / "mc.pcov").write_text(formats.render_instance(instance))
+    (workdir / "mc.dec").write_text(formats.render_decomposition(decomposition))
+    paths = {"pcov": workdir / "mc.pcov", "dec": workdir / "mc.dec"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_payload_is_stable():

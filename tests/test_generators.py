@@ -135,7 +135,7 @@ def test_random_descending_paths_totally_balanced():
         assert is_totally_balanced(inst.row_masks, inst.m)
         assert standard_greedy_form(inst.row_masks, inst.m).ok
         assert dec.rho == 1
-        dec.validate_against(inst.rows)
+        dec.validate_against(inst)
 
 
 def test_random_descending_paths_empty_demands():
@@ -199,14 +199,14 @@ def test_reduce_path_hitting_cost_inheritance():
     assert all(c == 5 for c in inst.costs)
     assert meta["cost_factor"] == 2
     assert meta["half_parent"] == (0, 0)
-    dec.validate_against(inst.rows)
+    dec.validate_against(inst)
 
 
 def test_reduce_path_hitting_random_instances_are_separable():
     for seed in range(8):
         tree, cover_paths, demand_paths = gen_random_path_hitting(seed)
         inst, dec, _ = reduce_path_hitting(tree, cover_paths, demand_paths)
-        dec.validate_against(inst.rows)
+        dec.validate_against(inst)
         for part in dec.parts:
             assert is_totally_balanced(row_bitmasks(part), inst.m) or inst.n > 12
 
@@ -239,7 +239,7 @@ def test_reduce_rectangles_2d_two_blocks():
     inst, dec, path_flag = reduce_rectangle_stabbing(rect)
     assert not path_flag
     assert dec.rho == 2
-    dec.validate_against(inst.rows)
+    dec.validate_against(inst)
     for row in dec.parts[0]:
         ones = [j for j, v in enumerate(row) if v]
         assert ones == list(range(ones[0], ones[-1] + 1)) if ones else True

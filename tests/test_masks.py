@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from pcover.arith import format_rational
 from pcover.formats import (INSTANCE_MAGIC, parse_instance, render_instance,
                             render_payload)
-from pcover.generators import Lcg, corpus_instance, gen_gap_family
+from pcover.generators import (Lcg, corpus_instance, gen_gap_family,
+                               gen_random_rectangles, gen_random_tree_instance,
+                               reduce_multicut, reduce_rectangle_stabbing)
 from pcover.model import (Instance, PermutationPair, bit_indices,
                           make_instance, permute_instance, sub_instance)
-from pcover.pipeline import audit_corpus_entry, solve_partial_tbc
+from pcover.pipeline import (audit_corpus_entry, solve_partial_tbc,
+                             solve_rho_separable)
 from pcover.tb import standard_greedy_form
 from test_pipeline import _lcg_shuffle
 
@@ -28,12 +31,18 @@ def test_solve_path_never_reads_rows(monkeypatch):
     shuffled = permute_instance(fam.instance, PermutationPair(
         _lcg_shuffle(fam.instance.n, rng), _lcg_shuffle(fam.instance.m, rng)))
     assert standard_greedy_form(shuffled.row_masks, shuffled.m).mode == "doubly-lexical"
+    # Built before the patch: only the solve path is under test.
+    rho_inputs = ([reduce_multicut(gen_random_tree_instance(s)) for s in range(1, 6)]
+                  + [reduce_rectangle_stabbing(gen_random_rectangles(s, 2))[:2]
+                     for s in range(1, 4)])
     monkeypatch.setattr(Instance, "rows", property(_rows_forbidden))
     for inst in (gen_gap_family(1).instance, fam.instance, shuffled):
         report = solve_partial_tbc(parse_instance(render_instance(inst)))
         render_payload(report.payload())
     for seed in range(1, 31):
         assert audit_corpus_entry(seed)["all_ok"], seed
+    for instance, decomposition in rho_inputs:
+        solve_rho_separable(instance, decomposition)
 
 
 def render_by_rows(instance: Instance) -> str:

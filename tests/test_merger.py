@@ -1,5 +1,6 @@
 """Merger graph construction and the combining procedures."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -58,7 +59,7 @@ def test_hand_built_domination_edges():
     assert g.edges == ((2, 0), (2, 1))
     assert g.roots == (2,)
     assert g.children[2] == (0, 1)
-    assert g.subtree(2) == frozenset({0, 1, 2})
+    assert g.subtree(2) == 0b111
 
 
 def test_in_degree_two_fails_loudly():
@@ -84,11 +85,11 @@ def test_absolute_benefits_examples():
 def test_relative_benefit_signs():
     g = three_set_graph()
     benefits = {0: F(2), 1: F(3), 2: F(5)}
-    # single-vertex subtrees
-    assert relative_benefit(g, 0, frozenset(), benefits) == 2
-    assert relative_benefit(g, 0, frozenset({0}), benefits) == -2
+    # single-vertex subtrees; covers are masks, bit j for set j
+    assert relative_benefit(g, 0, 0, benefits) == 2
+    assert relative_benefit(g, 0, 0b1, benefits) == -2
     # subtree with mixed membership
-    assert relative_benefit(g, 2, frozenset({0}), benefits) == 5 + 3 - 2
+    assert relative_benefit(g, 2, 0b1, benefits) == 5 + 3 - 2
 
 
 def test_merge_single_set_fixture():
@@ -155,8 +156,7 @@ def test_increase_immediate_exit_via_public_wrapper():
     g = build_merger_graph(inst, low.pruned, high.pruned, low.dual, high.dual)
     ctx = MergeContext(g, inst, inst.target,
                        absolute_benefits(inst, Cover.of([0])))
-    out = increase(0, frozenset(), ctx)
-    assert out.sets == (0,)
+    assert increase(0, 0, ctx) == 0b1
 
 
 def test_decrease_precondition_enforced():
@@ -167,7 +167,7 @@ def test_decrease_precondition_enforced():
     ctx = MergeContext(g, inst, inst.target,
                        absolute_benefits(inst, Cover.of([0])))
     with pytest.raises(InternalInvariantError, match="precondition"):
-        decrease(0, frozenset(), ctx)  # empty cover is not feasible
+        decrease(0, 0, ctx)  # empty cover is not feasible
 
 
 def test_split_fixture_bound_arithmetic():
@@ -187,3 +187,20 @@ def test_tampered_cover_breaks_bound():
     assert not audit.ok
     # the first k that breaks: 12 > 2 * 1/10 + 1 * 1
     assert (audit.failed_clause, audit.detail) == ("k = 1", "cost 12 above bound 6/5")
+
+
+def test_merge_memory_peak_on_gap_family():
+    # Covers, sides and subtrees are int masks: building the graph and
+    # merging on greedy-form gap q = 4 (512 vertices) stays under 450 KB.
+    work, _ = to_greedy_form(gen_gap_family(4).instance)
+    low, high = find_threshold(work).merge_pair(work.target)
+    args = (work, low.pruned, high.pruned, low.dual, high.dual)
+    tracemalloc.start()
+    try:
+        graph = build_merger_graph(*args)
+        _, trace = merge(graph, low.pruned, high.pruned, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.vertices) == 512 and len(trace.splits) == 4
+    assert peak < 450_000, peak

@@ -6,8 +6,8 @@ import pytest
 
 from pcover.errors import InputError
 from pcover.generators import Lcg, corpus_instance
-from pcover.model import (Cover, PermutationPair, cover_cost, covered_profit,
-                          make_instance, permute_instance)
+from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
+                          covered_profit, make_instance, permute_instance)
 
 
 def test_make_instance_minimal():
@@ -105,3 +105,16 @@ def test_permute_instance_moves_data_consistently():
     assert out.profits == (F(6), F(5))
     back = permute_instance(out, pair.inverse())
     assert back == inst
+
+
+def test_decomposition_validation_messages():
+    inst = make_instance([[1, 0], [0, 1]], [1, 1], [1, 1], 1)
+    Decomposition(2, (((1, 0), (0, 0)), ((0, 0), (0, 1)))).validate_against(inst)
+    for wrong in (((0, 0),), ((0, 0), (0,))):
+        with pytest.raises(InputError) as raised:
+            Decomposition(2, (((1, 0), (0, 1)), wrong)).validate_against(inst)
+        assert str(raised.value) == "part 1 has wrong shape"
+    # Mismatches at (0, 1) and (1, 0): the first in row-major order is named.
+    with pytest.raises(InputError) as raised:
+        Decomposition(2, (((1, 1), (1, 1)), ((0, 0), (0, 0)))).validate_against(inst)
+    assert str(raised.value) == "parts sum to 1 != 0 at row 0, column 1"

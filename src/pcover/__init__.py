@@ -9,13 +9,11 @@ from .generators import (BlackboxFamily, GapFamily, RectangleInstance,
                          gen_random_path_hitting, gen_random_rectangles,
                          gen_random_tree_instance, reduce_multicut,
                          reduce_path_hitting, reduce_rectangle_stabbing)
-from .kolen import (DualSolution, KolenResult, audit_optimality, dual_update,
-                    kolen, reverse_delete)
+from .kolen import DualSolution, KolenResult, audit_optimality, kolen
 from .lp import DualFractional, FractionalSolution, solve_dual, solve_lp
 from .merger import (MergeContext, MergerGraph, MergeTrace,
                      absolute_benefits, audit_merge_bound,
-                     build_merger_graph, decrease, increase, merge,
-                     relative_benefit)
+                     build_merger_graph, merge, relative_benefit)
 from .model import (Cover, Decomposition, Instance, PermutationPair,
                     cover_cost, covered_profit, make_instance,
                     permute_instance, sub_instance)

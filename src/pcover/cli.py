@@ -217,9 +217,12 @@ def cmd_verify(args) -> int:
 def _parse_seed_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+        seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
     except ValueError:
         raise InputError(f"bad seed range {text!r}: expected A..B or A") from None
+    if not seeds:
+        raise InputError(f"bad seed range {text!r}: B is below A")
+    return seeds
 
 
 def cmd_experiment(args) -> int:

@@ -149,11 +149,9 @@ def parse_decomposition(text: str, n: int, m: int) -> Decomposition:
         raise InputError(f"rho must be positive, got {rho}", line=lineno)
     parts = []
     for _ in range(rho):
-        rows = []
-        for _ in range(n):
-            line, lineno = lines.next("part row")
-            rows.append(tuple(map(int, _matrix_line(line, lineno, m))))
-        parts.append(tuple(rows))
+        # With no sets, part rows render as blank lines, which are skipped.
+        parts.append(tuple(tuple(map(int, _matrix_line(*lines.next("part row"), m)))
+                           for _ in range(n)) if m else ((),) * n)
     lines.end()
     return Decomposition(rho, tuple(parts))
 

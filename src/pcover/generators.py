@@ -35,8 +35,9 @@ class Lcg:
             raise ValueError("below() needs a positive bound")
         return self.next_u32() % n
 
-    def rational(self, num_hi: int = 20, den_hi: int = 4) -> Fraction:
-        return Fraction(1 + self.below(num_hi), 1 + self.below(den_hi))
+    def rational(self) -> Fraction:
+        """a/b with a in 1..20 and b in 1..4."""
+        return Fraction(1 + self.below(20), 1 + self.below(4))
 
     def pick(self, items):
         return items[self.below(len(items))]
@@ -67,7 +68,6 @@ class GapFamily:
     xt: tuple[int, ...]
     dual_y: tuple[Fraction, ...]
     dual_lam: Fraction
-    edge_levels: tuple[int, ...]
 
 
 def gen_gap_family(q: int) -> GapFamily:
@@ -173,7 +173,7 @@ def gen_gap_family(q: int) -> GapFamily:
 
     return GapFamily(q=q, instance=instance, dl=dl, ip=ip, p_bar=p_bar,
                      x1=x1, x2=x2, xt=xt, dual_y=dual_y,
-                     dual_lam=Fraction(1), edge_levels=levels)
+                     dual_lam=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +308,14 @@ def _descending_edges(parents, bottom: int, length: int) -> frozenset[int]:
 
 def gen_random_descending_paths(seed: int, nodes: int, num_cover_paths: int,
                                 num_demand_paths: int, target=None,
-                                cost_num_hi: int = 20, cost_den_hi: int = 4,
-                                profit_num_hi: int = 20, profit_den_hi: int = 4,
                                 ensure_demand_covered: bool = False):
     """Random rooted tree; sets and elements are descending paths.
 
     Incidence is edge-intersection, which makes the matrix totally
-    balanced by construction.  Returns (Instance, Decomposition) with a
-    single-part decomposition.  With `ensure_demand_covered`, demand paths
-    that meet no cover path are redrawn (deterministically) so every
-    element is coverable.
+    balanced by construction.  Costs and profits are `Lcg.rational`s.
+    Returns (Instance, Decomposition) with a single-part decomposition.
+    With `ensure_demand_covered`, demand paths that meet no cover path are
+    redrawn (deterministically) so every element is coverable.
     """
     if nodes < 2:
         raise InputError("need at least 2 nodes")
@@ -344,8 +342,8 @@ def gen_random_descending_paths(seed: int, nodes: int, num_cover_paths: int,
 
     rows = [[1 if demand & cover else 0 for cover in cover_paths]
             for demand in demand_paths]
-    costs = [rng.rational(cost_num_hi, cost_den_hi) for _ in cover_paths]
-    profits = [rng.rational(profit_num_hi, profit_den_hi) for _ in demand_paths]
+    costs = [rng.rational() for _ in cover_paths]
+    profits = [rng.rational() for _ in demand_paths]
     total = sum(profits, Fraction(0))
     coverable = sum((p for p, row in zip(profits, rows) if any(row)), Fraction(0))
     resolved = min(total / 2, coverable) if target is None else as_rational(target)
@@ -455,21 +453,21 @@ def gen_random_tree_instance(seed: int, max_edges: int = 15,
                         target=ratio * total)
 
 
-def gen_random_path_hitting(seed: int, max_nodes: int = 12, max_cover: int = 8,
-                            max_demand: int = 8):
-    """Seeded tree plus cover/demand path families (possibly non-descending).
+def gen_random_path_hitting(seed: int):
+    """Seeded tree of 6..12 nodes plus 3..8 cover and 3..8 demand paths
+    (possibly non-descending).
 
     Returns (TreeInstance, cover_paths, demand_paths) ready for
     `reduce_path_hitting`; the tree's edge costs are placeholders since
     path hitting prices the cover paths, not the edges.
     """
     rng = Lcg(seed ^ 0xDA7A)
-    nodes = 6 + rng.below(max_nodes - 5)
+    nodes = 6 + rng.below(7)
     parents = _random_tree(rng, nodes)
     edge_costs = tuple(Fraction(1) for _ in range(nodes - 1))
 
-    def draw(limit_hi: int, weight_hi: int):
-        count = 3 + rng.below(limit_hi - 2)
+    def draw(weight_hi: int):
+        count = 3 + rng.below(6)
         out = []
         for _ in range(count):
             s = rng.below(nodes)
@@ -479,8 +477,8 @@ def gen_random_path_hitting(seed: int, max_nodes: int = 12, max_cover: int = 8,
             out.append((s, t, Fraction(1 + rng.below(weight_hi))))
         return tuple(out)
 
-    cover_paths = draw(max_cover, 10)
-    demand_paths = draw(max_demand, 5)
+    cover_paths = draw(10)
+    demand_paths = draw(5)
     tree = TreeInstance(tuple(parents), edge_costs, demand_paths)
     return tree, cover_paths, demand_paths
 
@@ -524,16 +522,15 @@ def reduce_multicut(tree: TreeInstance):
     return instance, decomposition
 
 
-def reduce_path_hitting(tree: TreeInstance, cover_paths, demand_paths,
-                        target=None):
+def reduce_path_hitting(tree: TreeInstance, cover_paths, demand_paths):
     """Hit demand paths with cover paths, after splitting covers at LCAs.
 
     Sets are the nonempty descending halves of the cover paths, each
     inheriting the full parent cost (the doubling behind the extra factor
     2 in the end-to-end guarantee).  Elements are the demand paths, whole;
     the decomposition splits their incidence at each demand's LCA.  The
-    default target is half the total profit, capped at the profit of the
-    demands some half meets.  Returns (Instance, Decomposition, metadata).
+    target is half the total profit, capped at the profit of the demands
+    some half meets.  Returns (Instance, Decomposition, metadata).
     """
     parents = list(tree.parents)
     depths = tree.depths()
@@ -569,8 +566,7 @@ def reduce_path_hitting(tree: TreeInstance, cover_paths, demand_paths,
     rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(part1, part2)]
     total = sum(profits, Fraction(0))
     coverable = sum((p for p, row in zip(profits, rows) if any(row)), Fraction(0))
-    resolved = min(total / 2, coverable) if target is None else as_rational(target)
-    instance = make_instance(rows, half_costs, profits, resolved)
+    instance = make_instance(rows, half_costs, profits, min(total / 2, coverable))
     decomposition = Decomposition(2, (tuple(tuple(r) for r in part1),
                                       tuple(tuple(r) for r in part2)))
     decomposition.validate_against(instance)
@@ -604,14 +600,12 @@ class RectangleInstance:
                     raise InputError(f"empty box side ({lo}, {hi})")
 
 
-def gen_random_rectangles(seed: int, dimension: int = 1, num_rects: int | None = None,
-                          num_lines: int | None = None) -> RectangleInstance:
-    """Seeded boxes, each guaranteed to meet at least one line per axis."""
+def gen_random_rectangles(seed: int, dimension: int = 1) -> RectangleInstance:
+    """Seeded 4..10 boxes and 4..10 lines per axis, each box guaranteed to
+    meet at least one line per axis."""
     rng = Lcg(seed ^ 0xB0C5)
-    if num_rects is None:
-        num_rects = 4 + rng.below(7)
-    if num_lines is None:
-        num_lines = 4 + rng.below(7)
+    num_rects = 4 + rng.below(7)
+    num_lines = 4 + rng.below(7)
     lines = []
     for _axis in range(dimension):
         positions: set[int] = set()

@@ -34,9 +34,11 @@ prefix's positive-dual mask is the mask of its nonzero lines, the same at
 every such multiplier.  The resumed run's packed ints, covers and decoded
 duals are those of the run from element 0.
 
-`kolen` keeps the run packed: its pruned and tight covers are computed
-eagerly, and `KolenResult.dual` decodes the DualSolution only when it is
-read.  `audit_optimality` is the checker, kept independent of this kernel:
+`kolen` is the one way into the run.  It keeps the run packed: its pruned
+and tight covers and the mask of its elements of positive dual (which the
+prune needs, and the merger graph reads) are computed eagerly, and
+`KolenResult.dual` decodes the DualSolution only when it is read.
+`audit_optimality` is the checker, kept independent of this kernel:
 it reads the decoded DeltaRationals and the instance's Fractions, never
 the packed ints or the scaled profits, and puts their value and delta
 parts over common denominators of its own with `arith.common_scale`,
@@ -66,13 +68,6 @@ class DualSolution:
     y: tuple[DeltaRational, ...]
     lam: DeltaRational
     residuals: tuple[DeltaRational, ...]
-
-    def positive_y_mask(self) -> int:
-        mask = 0
-        for i, yi in enumerate(self.y):
-            if yi.is_positive():
-                mask |= 1 << i
-        return mask
 
 
 @dataclass(frozen=True)
@@ -124,18 +119,21 @@ class _PackedDual:
 
 
 class KolenResult:
-    """Pruned and tight covers of one run, and its dual solution.
+    """Pruned and tight covers of one run, its dual solution, and the mask
+    of its elements of positive dual.
 
     `dual` is a DualSolution, or a packed run that is decoded into one the
-    first time `dual` is read.
+    first time `dual` is read.  `positive` has bit i set when y_i > 0; the
+    merger graph reads it, so it needs no decoded dual.
     """
 
-    __slots__ = ("pruned", "tight", "_dual")
+    __slots__ = ("pruned", "tight", "_dual", "positive")
 
-    def __init__(self, pruned: Cover, tight: Cover, dual):
+    def __init__(self, pruned: Cover, tight: Cover, dual, positive: int):
         self.pruned = pruned
         self.tight = tight
         self._dual = dual
+        self.positive = positive
 
     @property
     def dual(self) -> DualSolution:
@@ -223,25 +221,9 @@ def _prune(instance: Instance, tight, pos_mask: int) -> Cover:
     return Cover(tuple(reversed(kept)))
 
 
-def dual_update(instance: Instance, lam) -> DualSolution:
-    """Raise duals in element index order; exact DeltaRational results."""
-    return _packed_dual_update(instance, _multiplier(instance, lam)).decode()
-
-
-def tight_sets(dual: DualSolution) -> Cover:
-    return Cover.of(j for j, r in enumerate(dual.residuals) if r.is_zero())
-
-
-def reverse_delete(instance: Instance, tight: Cover, dual: DualSolution) -> Cover:
-    """Keep the largest-index tight set, drop everything it dominates; repeat."""
-    for j in tight.sets:
-        if not dual.residuals[j].is_zero():
-            raise InputError(f"set {j} is not tight (residual {dual.residuals[j]})")
-    return _prune(instance, tight.sets, dual.positive_y_mask())
-
-
 def kolen(instance: Instance, lam, prefix: LinePrefix | None = None) -> KolenResult:
-    """One run: covers computed now, the dual decoded when first read.
+    """One run: covers and positive-dual mask computed now, the dual
+    decoded when first read.
 
     With a `prefix`, the run resumes after it (see `LinePrefix`)."""
     packed = _packed_dual_update(instance, _multiplier(instance, lam), prefix)
@@ -250,7 +232,8 @@ def kolen(instance: Instance, lam, prefix: LinePrefix | None = None) -> KolenRes
     for i, yi in enumerate(packed.y[start:], start):
         if yi > 0:
             pos_mask |= 1 << i
-    return KolenResult(_prune(instance, tight, pos_mask), Cover(tight), packed)
+    return KolenResult(_prune(instance, tight, pos_mask), Cover(tight), packed,
+                       pos_mask)
 
 
 @dataclass(frozen=True)

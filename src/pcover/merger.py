@@ -2,11 +2,15 @@
 
 The two pruned covers produced just below and just above the threshold
 multiplier are structurally related: directed domination edges between
-their symmetric difference form a forest of out-branchings.  Walking that
+their symmetric difference form a forest of out-branchings.  An edge
+joins two sets through an element of positive dual, and each run hands
+its elements of positive dual over as the int mask
+`KolenResult.positive`, so the graph decodes no dual.  Walking that
 forest, `merge` flips whole subtrees while the working cover stays short
-of the target, then hands over to the mutually recursive `increase` /
-`decrease` pair, which either finish cheaply or split a subtree, paying
-one extra set but shrinking the coverage offset at least threefold.
+of the target, then hands over to the mutually recursive
+`MergeContext.increase` / `decrease` pair, which either finish cheaply or
+split a subtree, paying one extra set but shrinking the coverage offset at
+least threefold.  `MergeContext` is the one way into that recursion.
 A set of set indices (a cover, a side of the graph, a subtree) is one int
 mask, bit j for set j: a flip is an XOR, and a `Cover` is built only for
 the result.
@@ -36,7 +40,6 @@ from math import lcm
 from operator import or_
 
 from .errors import InputError, InternalInvariantError
-from .kolen import DualSolution
 from .model import Cover, Instance, ScaledCoverage, bit_indices, cover_cost
 
 
@@ -59,9 +62,6 @@ class MergerGraph:
     roots: tuple[int, ...]
     subtrees: dict[int, int]
 
-    def subtree(self, j: int) -> int:
-        return self.subtrees[j]
-
 
 def _set_mask(cover: Cover) -> int:
     """The cover's sets as a mask, bit j for set j."""
@@ -70,13 +70,16 @@ def _set_mask(cover: Cover) -> int:
 
 def build_merger_graph(instance: Instance,
                        pruned_minus: Cover, pruned: Cover,
-                       dual_minus: DualSolution, dual: DualSolution) -> MergerGraph:
+                       positive_minus: int, positive: int) -> MergerGraph:
     """Construct and validate the merger graph of the two pruned covers.
 
-    Set j1 dominates j2 when j1 > j2, they lie on opposite sides, and they
-    share an element of positive dual in the run of j1's side.  Each
-    vertex's dominators are read off one OR of the row masks of its
-    positive-dual elements, so the build takes O(nnz) mask operations.
+    `positive_minus` and `positive` are the masks of the elements of
+    positive dual in the runs that produced `pruned_minus` and `pruned`
+    (`KolenResult.positive`).  Set j1 dominates j2 when j1 > j2, they lie
+    on opposite sides, and they share an element of positive dual in the
+    run of j1's side.  Each vertex's dominators are read off one OR of the
+    row masks of its positive-dual elements, so the build takes O(nnz)
+    mask operations.
     Every edge decreases, so one ascending scan builds each subtree mask
     from its children's, which come first.
 
@@ -88,17 +91,15 @@ def build_merger_graph(instance: Instance,
     minus_only = minus_mask & ~plus_mask
     plus_only = plus_mask & ~minus_mask
     vertices = bit_indices(minus_only | plus_only)
-    pos_minus = dual_minus.positive_y_mask()
-    pos_plus = dual.positive_y_mask()
 
     edges = []
     parent: dict[int, int] = {}
     conflicts = []
     for j2 in vertices:
         if plus_only >> j2 & 1:
-            side, pos = minus_only, pos_minus
+            side, pos = minus_only, positive_minus
         else:
-            side, pos = plus_only, pos_plus
+            side, pos = plus_only, positive
         sets = 0
         for i in bit_indices(instance.col_masks[j2] & pos):
             sets |= instance.row_masks[i]
@@ -146,7 +147,7 @@ def absolute_benefits(instance: Instance, union_cover: Cover) -> dict[int, Fract
 def relative_benefit(graph: MergerGraph, j: int, D: int, benefits):
     """Signed coverage change of flipping the subtree at j against the
     cover mask D, in the units of `benefits` (indexed by set)."""
-    sub = graph.subtree(j)
+    sub = graph.subtrees[j]
     return (sum(map(benefits.__getitem__, bit_indices(sub & ~D)))
             - sum(map(benefits.__getitem__, bit_indices(sub & D))))
 
@@ -238,7 +239,7 @@ class MergeContext:
 
     def flip(self, D: int, j: int) -> int:
         """Symmetric difference with the subtree at j, identity-checked."""
-        after = D ^ self.graph.subtree(j)
+        after = D ^ self.graph.subtrees[j]
         gain = self.coverage(after) - self.coverage(D)
         expected = self.benefit(j, D)
         if gain != expected:
@@ -311,7 +312,7 @@ class MergeContext:
             processed += 1
             last = best
         feasible = current
-        infeasible = feasible ^ self.graph.subtree(last)
+        infeasible = feasible ^ self.graph.subtrees[last]
         self._record_split("increase", j, processed, entry_offset, infeasible, feasible)
         if P - self.coverage(infeasible) < self.coverage(feasible) - P:
             other = self.increase(last, infeasible)
@@ -326,7 +327,7 @@ class MergeContext:
             raise self._precondition_broken("decrease", j, pD, b)
         self.check_alternating(D)
 
-        flipped_plus_j = (D ^ self.graph.subtree(j)) | 1 << j
+        flipped_plus_j = (D ^ self.graph.subtrees[j]) | 1 << j
         if self.coverage(flipped_plus_j) >= P:
             return flipped_plus_j
 
@@ -349,7 +350,7 @@ class MergeContext:
             processed += 1
             last = best
         infeasible = current
-        feasible = infeasible ^ self.graph.subtree(last)
+        feasible = infeasible ^ self.graph.subtrees[last]
         self._record_split("decrease", j, processed, entry_offset, infeasible, feasible)
         # A feasible side that covers exactly P admits only decrease: the
         # precondition of increase(last, infeasible) needs P < p(feasible).
@@ -371,18 +372,6 @@ class MergeContext:
             raise InternalInvariantError(
                 f"multi-child split at {j} shrank the offset only from "
                 f"{self.unscaled(entry_offset)} to {self.unscaled(min(off_in, off_fe))}")
-
-
-def increase(j: int, D: int, context: MergeContext) -> int:
-    """Grow an infeasible cover mask using the subtree at j (entry contract
-    asserted): returns a feasible cover mask inside the union."""
-    return context.increase(j, D)
-
-
-def decrease(j: int, D: int, context: MergeContext) -> int:
-    """Shrink an overshooting cover mask using the subtree at j (entry
-    contract asserted): returns a feasible cover mask inside the union."""
-    return context.decrease(j, D)
 
 
 def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
@@ -409,7 +398,7 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
 
     D = low
     # Roots in the order of their subtrees' lowest bits (smallest members).
-    for r in sorted(graph.roots, key=lambda r: graph.subtree(r) & -graph.subtree(r)):
+    for r in sorted(graph.roots, key=lambda r: graph.subtrees[r] & -graph.subtrees[r]):
         flipped = run.flip(D, r)
         if run.coverage(flipped) > run.target:
             D = run.increase(r, D)
@@ -439,9 +428,9 @@ class MergeBoundAudit:
     detail: str = ""
 
 
-def audit_merge_bound(trace: MergeTrace, instance: Instance, dual_value_dl,
-                      k_max: int = 10) -> MergeBoundAudit:
-    """Check cost(final) <= (1 + 3**(1-k)) * DL + k * c_max for k = 1..k_max.
+def audit_merge_bound(trace: MergeTrace, instance: Instance,
+                      dual_value_dl) -> MergeBoundAudit:
+    """Check cost(final) <= (1 + 3**(1-k)) * DL + k * c_max for k = 1..10.
 
     Exact rational arithmetic; reports the k with the smallest right-hand
     side among those that hold.
@@ -455,7 +444,7 @@ def audit_merge_bound(trace: MergeTrace, instance: Instance, dual_value_dl,
     failed = None
     tightest = None
     tightest_bound = None
-    for k in range(1, k_max + 1):
+    for k in range(1, 11):
         bound = (1 + Fraction(1, 3 ** (k - 1))) * dl + k * c_max
         holds = cost <= bound
         per_k.append((k, bound, holds))

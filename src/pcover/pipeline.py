@@ -199,10 +199,10 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
         audits["value_parts_match"] = all(
             yl.value == yh.value for yl, yh in zip(low_run.dual.y, high_run.dual.y))
         graph = build_merger_graph(work, low_run.pruned, high_run.pruned,
-                                   low_run.dual, high_run.dual)
+                                   low_run.positive, high_run.positive)
         audits["coverage_witness"] = lemma_witness_check(work, graph, low_run, high_run)
         final_work, trace = merge(graph, low_run.pruned, high_run.pruned, work)
-        outcomes["merge_bound"] = audit_merge_bound(trace, work, dl, k_max=10)
+        outcomes["merge_bound"] = audit_merge_bound(trace, work, dl)
         splits = len(trace.splits)
         lp_covers = (low_run.pruned, high_run.pruned)
     t_merge = time.perf_counter()
@@ -343,6 +343,9 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
     """
     if k < 0:
         raise InputError(f"absorption k must be nonnegative, got {k}")
+    if decomposition is not None and k < 1:
+        raise InputError(f"absorption k must be at least 1 with a decomposition, "
+                         f"where it is also the rho bound's k; got {k}")
     alpha = as_rational(alpha)
     if alpha <= 1:
         raise InputError(f"alpha must exceed 1, got {alpha}")
@@ -627,17 +630,12 @@ def simulate_blackbox_lb(q: int, alpha, lambda_schedule=None,
         union.update(sets)
 
     union_sets = tuple(sorted(union))
-    best_cost = None
-    best_sets: tuple[int, ...] | None = None
-    for r in range(len(union_sets) + 1):
-        for combo in combinations(union_sets, r):
-            if covered_profit(inst, Cover.of(combo)) >= inst.target:
-                cost = cover_cost(inst, Cover.of(combo))
-                key = (cost, combo)
-                if best_cost is None or key < (best_cost, best_sets):
-                    best_cost, best_sets = key
-    if best_cost is None:
-        raise InfeasibleError("the returned sets cannot reach the target")
+    try:
+        best, best_cost = brute_force_partial(
+            sub_instance(inst, range(inst.n), union_sets, inst.target))
+    except InfeasibleError:
+        raise InfeasibleError("the returned sets cannot reach the target") from None
+    best_sets = tuple(union_sets[j] for j in best.sets)
 
     _, opt_cost = brute_force_partial(inst)
     if opt_cost != fam.opt_cost:
@@ -658,8 +656,7 @@ def simulate_blackbox_lb(q: int, alpha, lambda_schedule=None,
 # ---------------------------------------------------------------------------
 
 
-def equitable_coloring_check(matrix, samples: int = 20, roles=None,
-                             seed: int = 0) -> bool:
+def equitable_coloring_check(matrix, samples: int = 20, roles=None) -> bool:
     """Red/blue column balance check on sampled submatrices.
 
     With `roles` (per-column ("O"|"A"|"B", index) tags) the constructive
@@ -704,7 +701,7 @@ def equitable_coloring_check(matrix, samples: int = 20, roles=None,
                 red.add(next(iter(pair.values())))
         return red
 
-    rng = Lcg(seed ^ 0xC010)
+    rng = Lcg(0xC010)
     samples_list = [(tuple(range(n)), tuple(range(m)))]
     for _ in range(samples):
         row_idx = tuple(i for i in range(n) if rng.below(2))

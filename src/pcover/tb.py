@@ -100,16 +100,18 @@ def is_gamma_free(row_masks) -> bool:
     return gamma_witness(row_masks) is None
 
 
-def is_totally_balanced(row_masks, m: int, limit: int = TB_CHECK_LIMIT) -> bool:
+def is_totally_balanced(row_masks, m: int) -> bool:
     """Definitional check by direct submatrix search.
 
     Searches all square submatrices of order >= 3 for one with every row
     and column sum equal to 2 and pairwise distinct columns.  Exponential;
-    guarded to dimensions <= `limit` and meant as a desk-scale oracle.
+    guarded to dimensions <= `TB_CHECK_LIMIT` and meant as a desk-scale
+    oracle.
     """
     n = len(row_masks)
-    check_guard(n <= limit and m <= limit,
-                f"totally-balanced check limited to {limit}x{limit}, got {n}x{m}")
+    check_guard(max(n, m) <= TB_CHECK_LIMIT,
+                f"totally-balanced check limited to "
+                f"{TB_CHECK_LIMIT}x{TB_CHECK_LIMIT}, got {n}x{m}")
     col_masks = transpose_masks(row_masks, m)
     for k in range(3, min(n, m) + 1):
         for row_subset in combinations(range(n), k):

@@ -264,7 +264,7 @@ def _trivial_result(instance: Instance, calls: int) -> ThresholdResult:
     zero = DeltaRational(0)
     dual = DualSolution(tuple(zero for _ in range(instance.n)), zero,
                         tuple(DeltaRational(c) for c in instance.costs))
-    hit = KolenResult(pruned=EMPTY_COVER, tight=EMPTY_COVER, dual=dual)
+    hit = KolenResult(pruned=EMPTY_COVER, tight=EMPTY_COVER, dual=dual, positive=0)
     return ThresholdResult(Fraction(0), None, None, hit, calls)
 
 

@@ -1,7 +1,8 @@
 """Direct reference implementations of the threshold layer's kernels.
 
 `reference_kolen` is Kolen's dual update and reverse delete written on
-DeltaRational values, one comparison and one subtraction at a time.
+DeltaRational values, one comparison and one subtraction at a time, and
+`reference_positive_mask` reads the elements of positive dual off them.
 `reference_dual_lines` is the symbolic dual pass on Fraction lines that
 restarts from element 0 on every call.  `reference_audit_optimality` is
 the optimality audit on DeltaRational values, every cap and residual
@@ -41,14 +42,20 @@ def reference_dual_update(instance, lam):
     return tuple(y), tuple(residuals)
 
 
+def reference_positive_mask(y):
+    """Mask of the elements whose DeltaRational dual is positive."""
+    mask = 0
+    for i, yi in enumerate(y):
+        if yi.is_positive():
+            mask |= 1 << i
+    return mask
+
+
 def reference_kolen(instance, lam):
     """(y, residuals, tight, pruned) of one run, tight and pruned as Covers."""
     y, residuals = reference_dual_update(instance, lam)
     tight = [j for j, r in enumerate(residuals) if r.is_zero()]
-    pos_mask = 0
-    for i, yi in enumerate(y):
-        if yi.is_positive():
-            pos_mask |= 1 << i
+    pos_mask = reference_positive_mask(y)
     remaining = set(tight)
     pruned = []
     while remaining:

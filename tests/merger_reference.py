@@ -1,7 +1,8 @@
 """Direct reference implementations of the merge layer.
 
 `reference_build_merger_graph` tests every ordered pair of vertices for
-domination, O(V^2) pairs.  `FractionMergeContext` and `reference_merge`
+domination, O(V^2) pairs, through the elements of positive dual it reads
+off the decoded duals.  `FractionMergeContext` and `reference_merge`
 run the combining recursion with every coverage summed as Fractions, bit
 by bit, through `model.covered_profit`, on covers held as frozensets; sets
 become masks only in the `MergerGraph` they build, and `members` reads a
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from kolen_reference import reference_positive_mask
 from pcover.errors import InputError, InternalInvariantError
 from pcover.merger import (CallRecord, MergerGraph, MergeTrace, SplitRecord,
                            absolute_benefits)
@@ -28,13 +30,15 @@ def mask_of(indices):
 
 
 def reference_build_merger_graph(instance, pruned_minus, pruned, dual_minus, dual):
+    """The graph from the decoded duals: each run's elements of positive
+    dual are read off its DeltaRationals, not taken from the kernel."""
     minus_set = pruned_minus.as_set()
     plus_set = pruned.as_set()
     minus_only = frozenset(minus_set - plus_set)
     plus_only = frozenset(plus_set - minus_set)
     vertices = tuple(sorted(minus_only | plus_only))
-    pos_minus = dual_minus.positive_y_mask()
-    pos_plus = dual.positive_y_mask()
+    pos_minus = reference_positive_mask(dual_minus.y)
+    pos_plus = reference_positive_mask(dual.y)
 
     def dominates(pos_mask, j1, j2):
         return j1 > j2 and bool(instance.col_masks[j1] & instance.col_masks[j2] & pos_mask)
@@ -90,12 +94,12 @@ class FractionMergeContext:
 
     def benefit(self, j, D) -> Fraction:
         total = Fraction(0)
-        for v in members(self.graph.subtree(j)):
+        for v in members(self.graph.subtrees[j]):
             total += -self.benefits[v] if v in D else self.benefits[v]
         return total
 
     def flip(self, D, j):
-        after = D ^ members(self.graph.subtree(j))
+        after = D ^ members(self.graph.subtrees[j])
         gain = self.coverage(after) - self.coverage(D)
         expected = self.benefit(j, D)
         if gain != expected:
@@ -151,7 +155,7 @@ class FractionMergeContext:
             processed += 1
             last = best
         feasible = current
-        infeasible = feasible ^ members(self.graph.subtree(last))
+        infeasible = feasible ^ members(self.graph.subtrees[last])
         self.record_split(j, processed, entry_offset, infeasible, feasible)
         if P - self.coverage(infeasible) < self.coverage(feasible) - P:
             other = self.increase(last, infeasible)
@@ -168,7 +172,7 @@ class FractionMergeContext:
             raise InternalInvariantError(
                 f"decrease({j}) precondition broken: p(D)={pD}, benefit={b}, P={P}")
         self.check_alternating(D)
-        flipped_plus_j = (D ^ members(self.graph.subtree(j))) | {j}
+        flipped_plus_j = (D ^ members(self.graph.subtrees[j])) | {j}
         if self.coverage(flipped_plus_j) >= P:
             return flipped_plus_j
         kids = self.graph.children[j]
@@ -189,7 +193,7 @@ class FractionMergeContext:
             processed += 1
             last = best
         infeasible = current
-        feasible = infeasible ^ members(self.graph.subtree(last))
+        feasible = infeasible ^ members(self.graph.subtrees[last])
         self.record_split(j, processed, entry_offset, infeasible, feasible)
         if 0 < self.coverage(feasible) - P < P - self.coverage(infeasible):
             other = self.increase(last, infeasible)
@@ -222,7 +226,7 @@ def reference_merge(graph, pruned_minus, pruned, instance):
         raise InputError(f"upper cover misses the target: "
                          f"{covered_profit(instance, pruned)} < {P}")
     D = frozenset(pruned_minus.as_set())
-    for r in sorted(graph.roots, key=lambda r: min(members(graph.subtree(r)))):
+    for r in sorted(graph.roots, key=lambda r: min(members(graph.subtrees[r]))):
         flipped = run.flip(D, r)
         if run.coverage(flipped) <= P:
             D = flipped

@@ -92,7 +92,7 @@ def test_merge_hooks_count_the_graph_and_the_trace():
         importlib.import_module("pcover.pipeline").solve_partial_tbc(instance)
     work, _ = to_greedy_form(instance)
     low, high = find_threshold(work).merge_pair(work.target)
-    graph = build_merger_graph(work, low.pruned, high.pruned, low.dual, high.dual)
+    graph = build_merger_graph(work, low.pruned, high.pruned, low.positive, high.positive)
     _, trace = merge(graph, low.pruned, high.pruned, work)
     assert trace.splits
     names = ("merger.graph_vertices", "merger.graph_edges",

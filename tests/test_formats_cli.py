@@ -76,6 +76,13 @@ def test_decomposition_round_trip():
     assert parsed == dec
 
 
+def test_decomposition_round_trip_without_sets():
+    # With m = 0 every part row is blank, as in an instance file.
+    _, dec = gen_random_descending_paths(3, 8, 0, 4)
+    text = formats.render_decomposition(dec)
+    assert formats.parse_decomposition(text, 4, 0) == dec
+
+
 def test_tree_round_trip():
     tree = TreeInstance((-1, 0, 0, 1), (F(1), F(2), F(1, 2)),
                         ((1, 2, F(3)), (0, 3, F(1))))
@@ -177,6 +184,16 @@ def test_cli_solve_empty_dimension(workdir, inst, code):
     if code == 0:
         payload = json.loads((workdir / "empty.json").read_text())["payload"]
         assert payload["cover"] == [] and payload["lp_value"] == "0"
+
+
+def test_cli_solve_without_sets_with_decomposition(workdir):
+    out = run_cli("generate", "random", "--cover-paths", "0", "--demand-paths", "3",
+                  "--out", str(workdir / "z"), cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    for extra in ((), ("--decomposition", str(workdir / "z.dec"))):
+        solved = run_cli("solve", "--input", str(workdir / "z.pcov"), *extra,
+                         cwd=workdir)
+        assert solved.returncode == 0, solved.stderr
 
 
 def test_cli_infeasible_exit_3(workdir):
@@ -289,8 +306,10 @@ def test_experiment_gap_runs_no_simplex(workdir, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["experiment", "corpus", "--seeds", "a..3"],
+    ["experiment", "corpus", "--seeds", "5..3"],
     ["solve", "--input", "{pcov}", "--absorb", "x", "2"],
     ["solve", "--input", "{pcov}", "--absorb", "-1", "2"],
+    ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--absorb", "0", "2"],
     ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--k", "0"],
     ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--k", "-1"],
     ["verify", "tb"],

@@ -193,8 +193,7 @@ def test_reduce_path_hitting_cost_inheritance():
     # V-shaped cover path through the root splits into two halves, each
     # carrying the full cost.
     tree = TreeInstance((-1, 0, 0), (F(1), F(1)), ())
-    inst, dec, meta = reduce_path_hitting(
-        tree, ((1, 2, F(5)),), ((1, 2, F(1)),), target=1)
+    inst, dec, meta = reduce_path_hitting(tree, ((1, 2, F(5)),), ((1, 2, F(1)),))
     assert inst.m == 2
     assert all(c == 5 for c in inst.costs)
     assert meta["cost_factor"] == 2
@@ -235,7 +234,7 @@ def test_reduce_rectangles_1d_interval_matrix():
 
 
 def test_reduce_rectangles_2d_two_blocks():
-    rect = gen_random_rectangles(5, 2, num_rects=4, num_lines=4)
+    rect = gen_random_rectangles(5, 2)
     inst, dec, path_flag = reduce_rectangle_stabbing(rect)
     assert not path_flag
     assert dec.rho == 2

@@ -149,7 +149,8 @@ def redistributed(instance, run, y):
             fresh = fresh - y[i]
         residuals.append(fresh)
     return KolenResult(run.pruned, run.tight,
-                       DualSolution(tuple(y), run.dual.lam, tuple(residuals)))
+                       DualSolution(tuple(y), run.dual.lam, tuple(residuals)),
+                       run.positive)
 
 
 def nudged_runs(instance, run, rng):
@@ -163,17 +164,21 @@ def nudged_runs(instance, run, rng):
     for nudge in NUDGES:
         i = rng.below(n)
         yield KolenResult(run.pruned, run.tight, DualSolution(
-            tuple(y[:i] + [y[i] + nudge] + y[i + 1:]), run.dual.lam, run.dual.residuals))
+            tuple(y[:i] + [y[i] + nudge] + y[i + 1:]), run.dual.lam, run.dual.residuals),
+            run.positive)
         if m:
             j = rng.below(m)
             moved = residuals[:j] + [residuals[j] - DeltaRational(0, nudge)] + residuals[j + 1:]
             yield KolenResult(run.pruned, run.tight,
-                              DualSolution(run.dual.y, run.dual.lam, tuple(moved)))
+                              DualSolution(run.dual.y, run.dual.lam, tuple(moved)),
+                              run.positive)
     extra = sorted(run.tight.as_set() - run.pruned.as_set())
     if extra:
-        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight, run.dual)
+        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight,
+                          run.dual, run.positive)
     if run.pruned.sets:
-        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual)
+        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual,
+                          run.positive)
     for _ in range(6):
         source, sink = rng.below(n), rng.below(n)
         for amount in (NUDGES[1], y[source], y[source] + NUDGES[0], DeltaRational(0, 1)):
@@ -237,7 +242,8 @@ def with_dual_value(run, i, value):
     y = list(run.dual.y)
     y[i] = DeltaRational(value, y[i].delta)
     return KolenResult(run.pruned, run.tight,
-                       DualSolution(tuple(y), run.dual.lam, run.dual.residuals))
+                       DualSolution(tuple(y), run.dual.lam, run.dual.residuals),
+                       run.positive)
 
 
 def test_lemma_witness_matches_reference():
@@ -249,7 +255,8 @@ def test_lemma_witness_matches_reference():
         if thr.exact_hit is not None:
             continue
         low, high = thr.merge_pair(instance.target)
-        graph = build_merger_graph(instance, low.pruned, high.pruned, low.dual, high.dual)
+        graph = build_merger_graph(instance, low.pruned, high.pruned,
+                                   low.positive, high.positive)
         lam = high.dual.lam.value
         under = [i for i, yi in enumerate(high.dual.y)
                  if yi.value < lam * instance.profits[i]]
@@ -276,7 +283,7 @@ def test_checker_reads_no_kernel_scaling(monkeypatch):
     report = solve_partial_tbc(work)
     thr = report.threshold
     low, high = thr.merge_pair(work.target)
-    graph = build_merger_graph(work, low.pruned, high.pruned, low.dual, high.dual)
+    graph = build_merger_graph(work, low.pruned, high.pruned, low.positive, high.positive)
     lp = solve_lp(corpus_instance(3))
 
     def refuse(*args, **kwargs):

@@ -11,13 +11,13 @@ from fractions import Fraction as F
 import pytest
 
 from kolen_reference import (reference_audit_optimality, reference_dual_lines,
-                             reference_kolen)
+                             reference_kolen, reference_positive_mask)
 from pcover import arith, lp, model, pipeline, threshold
 from pcover.arith import DeltaRational, common_scale, fraction_sum
 from pcover.errors import AuditError, InternalInvariantError
 from pcover.generators import Lcg, corpus_instance, gen_gap_family
 from pcover.kolen import (DualSolution, KolenResult, LinePrefix,
-                          audit_optimality, dual_update, kolen, reverse_delete)
+                          audit_optimality, kolen)
 from pcover.merger import MergeContext
 from pcover.model import (Cover, Instance, PermutationPair, bit_indices,
                           make_instance, permute_instance)
@@ -38,9 +38,7 @@ def assert_same_run(instance, lam):
     assert run.dual.y == y
     assert run.dual.residuals == residuals
     assert run.dual.lam == DeltaRational.of(lam)
-    dual = dual_update(instance, lam)
-    assert (dual.y, dual.residuals) == (y, residuals)
-    assert reverse_delete(instance, tight, dual) == pruned
+    assert run.positive == reference_positive_mask(y)
 
 
 def threshold_lambdas(instance):
@@ -217,6 +215,7 @@ def test_resumed_probes_match_runs_from_element_zero(monkeypatch):
         ref = kolen(instance, lam)
         assert (run.pruned, run.tight) == (ref.pruned, ref.tight)
         assert run.dual == ref.dual
+        assert run.positive == ref.positive == reference_positive_mask(run.dual.y)
         probes.append(0 if prefix is None else len(prefix.y))
         return run
 
@@ -249,7 +248,7 @@ def moved_dual(instance, run, source, sink, amount):
             fresh = fresh - y[i]
         residuals.append(fresh)
     dual = DualSolution(tuple(y), run.dual.lam, tuple(residuals))
-    return KolenResult(run.pruned, run.tight, dual)
+    return KolenResult(run.pruned, run.tight, dual, run.positive)
 
 
 def tampered_runs(instance, run):
@@ -259,9 +258,11 @@ def tampered_runs(instance, run):
     yield run
     extra = sorted(run.tight.as_set() - run.pruned.as_set())
     if extra:
-        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight, run.dual)
+        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight,
+                          run.dual, run.positive)
     if run.pruned.sets:
-        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual)
+        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual,
+                          run.positive)
     if instance.n >= 2:
         last = instance.n - 1
         yield moved_dual(instance, run, 0, last, run.dual.y[0])

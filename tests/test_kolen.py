@@ -6,10 +6,9 @@ import pytest
 
 from pcover.arith import DeltaRational
 from pcover.errors import InputError
-from kolen_reference import reference_audit_optimality
-from pcover.kolen import (DualSolution, KolenResult, audit_optimality,
-                          dual_update, kolen, prize_collecting_value,
-                          reverse_delete, tight_sets)
+from kolen_reference import reference_audit_optimality, reference_positive_mask
+from pcover.kolen import (DualSolution, KolenResult, audit_optimality, kolen,
+                          prize_collecting_value)
 from pcover.model import Cover, covered_profit, make_instance
 from pcover.pipeline import brute_force_prize_collecting, to_greedy_form
 from pcover.generators import corpus_instance
@@ -18,39 +17,37 @@ TWO_BY_TWO = make_instance([[1, 1], [0, 1]], [2, 3], [1, 1], 0)
 
 
 def test_dual_update_zero_multiplier():
-    dual = dual_update(TWO_BY_TWO, 0)
+    dual = kolen(TWO_BY_TWO, 0).dual
     assert all(y == DeltaRational(0) for y in dual.y)
     assert [r.value for r in dual.residuals] == [2, 3]
 
 
 def test_dual_update_worked_example():
-    dual = dual_update(TWO_BY_TWO, 10)
+    dual = kolen(TWO_BY_TWO, 10).dual
     assert [y.value for y in dual.y] == [2, 1]
     assert all(r.is_zero() for r in dual.residuals)
 
 
 def test_element_in_no_set_gets_penalty_cap():
     inst = make_instance([[0]], [1], [2], 0)
-    dual = dual_update(inst, 3)
+    dual = kolen(inst, 3).dual
     assert dual.y[0] == DeltaRational(6)
 
 
 def test_dual_update_requires_gamma_free():
     bad = make_instance([[1, 1], [1, 0]], [1, 1], [1, 1], 0)
     with pytest.raises(InputError, match="greedy standard form"):
-        dual_update(bad, 1)
+        kolen(bad, 1)
 
 
 def test_reverse_delete_single_set():
     inst = make_instance([[1]], [1], [1], 0)
-    dual = dual_update(inst, 5)
-    pruned = reverse_delete(inst, tight_sets(dual), dual)
+    pruned = kolen(inst, 5).pruned
     assert pruned.sets == (0,)
 
 
 def test_reverse_delete_domination_worked_example():
-    dual = dual_update(TWO_BY_TWO, 10)
-    pruned = reverse_delete(TWO_BY_TWO, tight_sets(dual), dual)
+    pruned = kolen(TWO_BY_TWO, 10).pruned
     assert pruned.sets == (1,)  # the later set dominates through element 0
 
 
@@ -58,12 +55,6 @@ def test_reverse_delete_disjoint_tight_sets_survive():
     inst = make_instance([[1, 0], [0, 1]], [1, 1], [1, 1], 0)
     res = kolen(inst, 10)
     assert res.pruned.sets == (0, 1)
-
-
-def test_reverse_delete_rejects_non_tight_input():
-    dual = dual_update(TWO_BY_TWO, 0)
-    with pytest.raises(InputError, match="not tight"):
-        reverse_delete(TWO_BY_TWO, Cover.of([0]), dual)
 
 
 def test_kolen_zero_multiplier_empty_cover():
@@ -100,7 +91,8 @@ def test_audit_catches_redundant_tight_set():
     # Tamper: put both tight sets in the pruned cover; they share element 0
     # whose dual is positive, and the extra cost already breaks clause (a).
     res = kolen(TWO_BY_TWO, 10)
-    tampered = KolenResult(pruned=Cover.of([0, 1]), tight=res.tight, dual=res.dual)
+    tampered = KolenResult(pruned=Cover.of([0, 1]), tight=res.tight, dual=res.dual,
+                           positive=res.positive)
     report = audit_optimality(TWO_BY_TWO, 10, tampered)
     assert (report.ok, report.failed_clause, report.detail) == (
         False, "a", "cost+penalty 5 != dual total 3")
@@ -109,7 +101,8 @@ def test_audit_catches_redundant_tight_set():
 def test_audit_catches_uncovered_below_cap():
     # Tamper: drop the only pruned set; both penalties now count in (a).
     res = kolen(TWO_BY_TWO, 10)
-    tampered = KolenResult(pruned=Cover.of([]), tight=res.tight, dual=res.dual)
+    tampered = KolenResult(pruned=Cover.of([]), tight=res.tight, dual=res.dual,
+                           positive=res.positive)
     report = audit_optimality(TWO_BY_TWO, 10, tampered)
     assert (report.ok, report.failed_clause, report.detail) == (
         False, "a", "cost+penalty 20 != dual total 3")
@@ -147,7 +140,8 @@ SABOTAGED = (
 def test_audit_names_each_clause(instance, lam, pruned, y, residuals, clause, detail):
     dual = DualSolution(tuple(map(DeltaRational.of, y)), DeltaRational.of(lam),
                         tuple(map(DeltaRational.of, residuals)))
-    run = KolenResult(pruned=Cover.of(pruned), tight=Cover.of(pruned), dual=dual)
+    run = KolenResult(pruned=Cover.of(pruned), tight=Cover.of(pruned), dual=dual,
+                      positive=reference_positive_mask(dual.y))
     report = audit_optimality(instance, lam, run)
     assert (report.ok, report.failed_clause, report.detail) == (False, clause, detail)
     assert report == reference_audit_optimality(instance, lam, run)

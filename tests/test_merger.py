@@ -5,13 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcover.arith import DeltaRational
 from pcover.errors import InternalInvariantError
 from pcover.generators import corpus_instance, gen_gap_family
-from pcover.kolen import DualSolution
 from pcover.merger import (MergeContext, MergeTrace, absolute_benefits,
-                           audit_merge_bound, build_merger_graph, decrease,
-                           increase, merge, relative_benefit)
+                           audit_merge_bound, build_merger_graph, merge,
+                           relative_benefit)
 from pcover.lp import dual_value
 from pcover.model import Cover, cover_cost, covered_profit, make_instance
 from pcover.pipeline import to_greedy_form
@@ -24,31 +22,23 @@ def _threshold_dl(work, thr):
     return dual_value(work, y, thr.lambda_star)
 
 
-def _dual(y_values, lam=0):
-    y = tuple(DeltaRational(v) for v in y_values)
-    return DualSolution(y, DeltaRational(lam), ())
-
-
 THREE_SET = make_instance([[1, 0, 1], [0, 1, 1]], [1, 1, 1], [1, 1], 0)
 
 
 def three_set_graph():
-    pruned_minus = Cover.of([2])
-    pruned = Cover.of([0, 1])
-    dual_minus = _dual([1, 1])
-    dual_plus = _dual([1, 1])
-    return build_merger_graph(THREE_SET, pruned_minus, pruned, dual_minus, dual_plus)
+    # Both elements have positive dual in both runs: masks 0b11.
+    return build_merger_graph(THREE_SET, Cover.of([2]), Cover.of([0, 1]),
+                              0b11, 0b11)
 
 
 def test_empty_graph_when_covers_equal():
     cover = Cover.of([0])
-    g = build_merger_graph(THREE_SET, cover, cover, _dual([1, 1]), _dual([1, 1]))
+    g = build_merger_graph(THREE_SET, cover, cover, 0b11, 0b11)
     assert g.vertices == () and g.edges == () and g.roots == ()
 
 
 def test_single_vertex_graph():
-    g = build_merger_graph(THREE_SET, Cover.of([]), Cover.of([0]),
-                           _dual([0, 0]), _dual([1, 0]))
+    g = build_merger_graph(THREE_SET, Cover.of([]), Cover.of([0]), 0, 0b01)
     assert g.vertices == (0,)
     assert g.edges == ()
     assert g.roots == (0,)
@@ -59,7 +49,7 @@ def test_hand_built_domination_edges():
     assert g.edges == ((2, 0), (2, 1))
     assert g.roots == (2,)
     assert g.children[2] == (0, 1)
-    assert g.subtree(2) == 0b111
+    assert g.subtrees[2] == 0b111
 
 
 def test_in_degree_two_fails_loudly():
@@ -67,8 +57,7 @@ def test_in_degree_two_fails_loudly():
     # would need in-degree two on the earlier set.
     inst = make_instance([[1, 1, 0], [1, 0, 1]], [1, 1, 1], [1, 1], 0)
     with pytest.raises(InternalInvariantError, match="two dominators"):
-        build_merger_graph(inst, Cover.of([1, 2]), Cover.of([0]),
-                           _dual([1, 1]), _dual([1, 1]))
+        build_merger_graph(inst, Cover.of([1, 2]), Cover.of([0]), 0b11, 0b11)
 
 
 def test_absolute_benefits_examples():
@@ -96,7 +85,7 @@ def test_merge_single_set_fixture():
     inst = make_instance([[1], [1]], [1], [1, 1], 1)
     thr = find_threshold(inst)
     low, high = thr.merge_pair(inst.target)
-    g = build_merger_graph(inst, low.pruned, high.pruned, low.dual, high.dual)
+    g = build_merger_graph(inst, low.pruned, high.pruned, low.positive, high.positive)
     final, trace = merge(g, low.pruned, high.pruned, inst)
     assert final.sets == (0,)
     assert trace.splits == []
@@ -106,7 +95,7 @@ def test_merge_single_set_fixture():
 def test_merge_returns_lower_cover_when_already_feasible():
     inst = make_instance([[1], [1]], [1], [1, 1], 1)
     cover = Cover.of([0])
-    g = build_merger_graph(inst, cover, cover, _dual([1, 1]), _dual([1, 1]))
+    g = build_merger_graph(inst, cover, cover, 0b11, 0b11)
     final, trace = merge(g, cover, cover, inst)
     assert final == cover
     assert trace.immediate == "lower cover already feasible"
@@ -119,12 +108,12 @@ def test_merge_on_corpus_runs():
         if thr.exact_hit is not None:
             continue
         low, high = thr.merge_pair(work.target)
-        g = build_merger_graph(work, low.pruned, high.pruned, low.dual, high.dual)
+        g = build_merger_graph(work, low.pruned, high.pruned, low.positive, high.positive)
         final, trace = merge(g, low.pruned, high.pruned, work)
         assert covered_profit(work, final) >= work.target
         assert final.as_set() <= low.pruned.as_set() | high.pruned.as_set()
         dl = _threshold_dl(work, thr)
-        audit = audit_merge_bound(trace, work, dl, k_max=10)
+        audit = audit_merge_bound(trace, work, dl)
         assert audit.ok
         # determinism
         final2, _ = merge(g, low.pruned, high.pruned, work)
@@ -137,7 +126,7 @@ def test_merge_gap_family_exercises_splits():
     thr = find_threshold(work)
     assert thr.exact_hit is None
     low, high = thr.merge_pair(work.target)
-    g = build_merger_graph(work, low.pruned, high.pruned, low.dual, high.dual)
+    g = build_merger_graph(work, low.pruned, high.pruned, low.positive, high.positive)
     final, trace = merge(g, low.pruned, high.pruned, work)
     assert len(trace.splits) >= 1
     for record in trace.splits:
@@ -145,7 +134,7 @@ def test_merge_gap_family_exercises_splits():
             assert record.offset_before >= 3 * min(record.offset_infeasible,
                                                    record.offset_feasible)
     dl = _threshold_dl(work, thr)
-    assert audit_merge_bound(trace, work, dl, k_max=10).ok
+    assert audit_merge_bound(trace, work, dl).ok
 
 
 def test_increase_immediate_exit_via_public_wrapper():
@@ -153,28 +142,28 @@ def test_increase_immediate_exit_via_public_wrapper():
     inst = make_instance([[1], [1]], [1], [1, 1], 1)
     thr = find_threshold(inst)
     low, high = thr.merge_pair(inst.target)
-    g = build_merger_graph(inst, low.pruned, high.pruned, low.dual, high.dual)
+    g = build_merger_graph(inst, low.pruned, high.pruned, low.positive, high.positive)
     ctx = MergeContext(g, inst, inst.target,
                        absolute_benefits(inst, Cover.of([0])))
-    assert increase(0, 0, ctx) == 0b1
+    assert ctx.increase(0, 0) == 0b1
 
 
 def test_decrease_precondition_enforced():
     inst = make_instance([[1], [1]], [1], [1, 1], 1)
     thr = find_threshold(inst)
     low, high = thr.merge_pair(inst.target)
-    g = build_merger_graph(inst, low.pruned, high.pruned, low.dual, high.dual)
+    g = build_merger_graph(inst, low.pruned, high.pruned, low.positive, high.positive)
     ctx = MergeContext(g, inst, inst.target,
                        absolute_benefits(inst, Cover.of([0])))
     with pytest.raises(InternalInvariantError, match="precondition"):
-        decrease(0, 0, ctx)  # empty cover is not feasible
+        ctx.decrease(0, 0)  # empty cover is not feasible
 
 
 def test_split_fixture_bound_arithmetic():
     # Hand-checked single-set fixture numbers: dl = 1/2, cost 1, c_max 1.
     inst = make_instance([[1], [1]], [1], [1, 1], 1)
     trace = MergeTrace(target=F(1), final=Cover.of([0]))
-    audit = audit_merge_bound(trace, inst, F(1, 2), k_max=3)
+    audit = audit_merge_bound(trace, inst, F(1, 2))
     assert audit.ok
     k1 = audit.per_k[0]
     assert k1 == (1, F(2), True)  # 2 * 1/2 + 1 * 1
@@ -183,7 +172,7 @@ def test_split_fixture_bound_arithmetic():
 def test_tampered_cover_breaks_bound():
     inst = make_instance([[1] * 12], [1] * 12, [1], 1)
     trace = MergeTrace(target=F(1), final=Cover.of(range(12)))
-    audit = audit_merge_bound(trace, inst, F(1, 10), k_max=3)
+    audit = audit_merge_bound(trace, inst, F(1, 10))
     assert not audit.ok
     # the first k that breaks: 12 > 2 * 1/10 + 1 * 1
     assert (audit.failed_clause, audit.detail) == ("k = 1", "cost 12 above bound 6/5")
@@ -194,7 +183,7 @@ def test_merge_memory_peak_on_gap_family():
     # merging on greedy-form gap q = 4 (512 vertices) stays under 450 KB.
     work, _ = to_greedy_form(gen_gap_family(4).instance)
     low, high = find_threshold(work).merge_pair(work.target)
-    args = (work, low.pruned, high.pruned, low.dual, high.dual)
+    args = (work, low.pruned, high.pruned, low.positive, high.positive)
     tracemalloc.start()
     try:
         graph = build_merger_graph(*args)

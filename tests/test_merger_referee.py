@@ -25,9 +25,10 @@ def assert_same_merge(instance):
     if thr.exact_hit is not None:
         return None
     low, high = thr.merge_pair(work.target)
-    args = (work, low.pruned, high.pruned, low.dual, high.dual)
-    graph = build_merger_graph(*args)
-    reference = reference_build_merger_graph(*args)
+    graph = build_merger_graph(work, low.pruned, high.pruned,
+                               low.positive, high.positive)
+    reference = reference_build_merger_graph(work, low.pruned, high.pruned,
+                                             low.dual, high.dual)
     assert graph.edges == reference.edges
     assert graph.parent == reference.parent
     assert graph.roots == reference.roots
@@ -85,10 +86,11 @@ def test_two_dominators_named_as_the_pair_loop_names_them():
                           [0, 1, 1, 0, 0, 0], [0, 1, 0, 0, 1, 0]],
                          [1] * 6, [1] * 4, 0)
     dual = DualSolution(tuple(DeltaRational(1) for _ in range(4)), DeltaRational(0), ())
-    args = (inst, Cover.of([2, 3, 4, 5]), Cover.of([0, 1]), dual, dual)
+    covers = (inst, Cover.of([2, 3, 4, 5]), Cover.of([0, 1]))
     messages = []
-    for build in (build_merger_graph, reference_build_merger_graph):
+    for build, positives in ((build_merger_graph, (0b1111, 0b1111)),
+                             (reference_build_merger_graph, (dual, dual))):
         with pytest.raises(InternalInvariantError) as raised:
-            build(*args)
+            build(*covers, *positives)
         messages.append(str(raised.value))
     assert messages == ["vertex 1 has two dominators: 2 and 4"] * 2

@@ -159,6 +159,21 @@ def test_absorb_k0_is_plain_solve():
     assert cover == solve_partial_tbc(inst).cover
 
 
+def test_absorb_k0_with_decomposition_rejected_before_solving(monkeypatch):
+    # With a decomposition, K is also the rho bound's k, which needs k >= 1:
+    # the error names the absorption K, and no solve runs first.
+    inst, dec = reduce_multicut(gen_random_tree_instance(4))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting K")
+
+    monkeypatch.setattr(pipeline, "solve_rho_separable", no_solve)
+    monkeypatch.setattr(pipeline, "solve_partial_tbc", no_solve)
+    with pytest.raises(InputError, match="absorption k must be at least 1 "
+                                         "with a decomposition"):
+        absorb_additive_error(inst, 0, F(2), dec)
+
+
 def test_absorb_never_worse_than_plain():
     for seed in (1, 2, 3):
         tree = gen_random_tree_instance(seed)

@@ -182,19 +182,12 @@ class DeltaRational:
     def __hash__(self):
         return hash(self._key())
 
-    def is_zero(self) -> bool:
-        return not self.value and not self.delta
-
     def is_positive(self) -> bool:
         """Strictly positive for every sufficiently small infinitesimal."""
         return self.value > 0 or (self.value == 0 and self.delta > 0)
 
     def is_nonnegative(self) -> bool:
         return not (-self).is_positive()
-
-    def at(self, d: RationalLike) -> Fraction:
-        """Evaluate at a concrete rational d (used only by tests)."""
-        return self.value + self.delta * as_rational(d)
 
     def __repr__(self):
         return f"DeltaRational({self.value}, {self.delta})"

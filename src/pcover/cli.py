@@ -31,13 +31,16 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_report(args, payload: dict, timings: dict | None = None) -> None:
@@ -93,7 +96,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
 
     if decomposition is not None:
-        report = pipeline.solve_rho_separable(instance, decomposition, args.k,
+        report = pipeline.solve_rho_separable(instance, decomposition,
                                               oracle=args.oracle)
     else:
         report = pipeline.solve_partial_tbc(instance, oracle=args.oracle)
@@ -201,9 +204,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_AUDIT
     if check == "equitable":
         fam = generators.gen_blackbox_family(args.q, 1, "tu")
-        ok = pipeline.equitable_coloring_check(fam.instance.rows,
-                                               samples=args.samples,
-                                               roles=fam.roles)
+        ok = pipeline.equitable_coloring_check(fam.instance.row_masks,
+                                               fam.instance.m, fam.roles)
         print(f"equitable coloring on sampled submatrices: {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_AUDIT
     raise InputError(f"unknown check {check!r}")
@@ -291,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("--input", required=True)
-    p_solve.add_argument("--k", type=int, default=4)
     p_solve.add_argument("--decomposition")
     p_solve.add_argument("--absorb", nargs=2, metavar=("K", "ALPHA"))
     p_solve.add_argument("--oracle", action="store_true",
@@ -320,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["tb", "sgf", "lp-duality", "equitable"])
     p_verify.add_argument("--input")
     p_verify.add_argument("--q", type=int, default=2)
-    p_verify.add_argument("--samples", type=int, default=20)
     p_verify.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="run a canned experiment")

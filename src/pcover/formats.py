@@ -1,7 +1,9 @@
 """Line-oriented text formats for instances, decompositions, and trees.
 
-All rationals render as 'num' or 'num/den'; parsing round-trips exactly.
-Error messages carry 1-based line numbers.
+All rationals render as 'num' or 'num/den'; instances and decompositions
+parse back exactly, with error messages that carry 1-based line numbers.
+A tree is only rendered, into the meta file of `generate multicut`; no
+command reads one back.
 
 Instance (.pcov):         Decomposition (.dec):      Tree (.tree):
     PCOV 1                     PCOVDEC 1                  TREE 1
@@ -162,41 +164,6 @@ def render_decomposition(dec: Decomposition) -> str:
         for row in part:
             out.append("".join(str(v) for v in row))
     return "\n".join(out) + "\n"
-
-
-def parse_tree(text: str) -> TreeInstance:
-    lines = _Lines(text)
-    magic, lineno = lines.next("header")
-    if magic != TREE_MAGIC:
-        raise InputError(f"bad header {magic!r}, expected {TREE_MAGIC!r}", line=lineno)
-    count_line, lineno = lines.next("node count")
-    count = _int(count_line, lineno, "node count")
-    parents_line, lineno = lines.next("parent list")
-    tokens = parents_line.split()
-    if len(tokens) != count:
-        raise InputError(f"expected {count} parents, found {len(tokens)}", line=lineno)
-    raw_parents = [_int(t, lineno, "parent") for t in tokens]
-    if raw_parents[0] != 0:
-        raise InputError("first node must be the root (parent 0)", line=lineno)
-    parents = [-1] + [p - 1 for p in raw_parents[1:]]
-    for v, p in enumerate(parents[1:], start=1):
-        if not 0 <= p < count:
-            raise InputError(f"node {v + 1} has parent {p + 1} out of range",
-                             line=lineno)
-    costs_line, lineno = lines.next("edge costs")
-    costs = _rationals(costs_line, lineno, count - 1, "edge costs")
-    demands = []
-    for line, lineno in lines.rest():
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise InputError("expected 's t profit'", line=lineno)
-        s = _int(tokens[0], lineno, "endpoint") - 1
-        t = _int(tokens[1], lineno, "endpoint") - 1
-        profit = _rational(tokens[2], lineno)
-        if not (0 <= s < count and 0 <= t < count):
-            raise InputError("endpoint out of range", line=lineno)
-        demands.append((s, t, profit))
-    return TreeInstance(tuple(parents), tuple(costs), tuple(demands))
 
 
 def render_tree(tree: TreeInstance) -> str:

@@ -319,6 +319,10 @@ def gen_random_descending_paths(seed: int, nodes: int, num_cover_paths: int,
     """
     if nodes < 2:
         raise InputError("need at least 2 nodes")
+    for name, count in (("num_cover_paths", num_cover_paths),
+                        ("num_demand_paths", num_demand_paths)):
+        if count < 0:
+            raise InputError(f"{name} must be nonnegative, got {count}")
     rng = Lcg(seed)
     parents = _random_tree(rng, nodes)
     depths = _depths(parents)
@@ -603,6 +607,8 @@ class RectangleInstance:
 def gen_random_rectangles(seed: int, dimension: int = 1) -> RectangleInstance:
     """Seeded 4..10 boxes and 4..10 lines per axis, each box guaranteed to
     meet at least one line per axis."""
+    if dimension < 1:
+        raise InputError(f"dimension must be at least 1, got {dimension}")
     rng = Lcg(seed ^ 0xB0C5)
     num_rects = 4 + rng.below(7)
     num_lines = 4 + rng.below(7)

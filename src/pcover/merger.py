@@ -428,24 +428,20 @@ class MergeBoundAudit:
     detail: str = ""
 
 
-def audit_merge_bound(trace: MergeTrace, instance: Instance,
-                      dual_value_dl) -> MergeBoundAudit:
-    """Check cost(final) <= (1 + 3**(1-k)) * DL + k * c_max for k = 1..10.
+def audit_cost_bound(cost: Fraction, base: Fraction,
+                     c_max: Fraction) -> MergeBoundAudit:
+    """Check cost <= (1 + 3**(1-k)) * base + k * c_max for k = 1..10.
 
-    Exact rational arithmetic; reports the k with the smallest right-hand
-    side among those that hold.
+    The paper's bound for partial TB cover, with base the LP value (or
+    rho times it on a rho-separable matrix).  Exact rational arithmetic;
+    reports the k with the smallest right-hand side among those that hold.
     """
-    if trace.final is None:
-        raise InputError("trace has no final cover")
-    dl = Fraction(dual_value_dl)
-    cost = cover_cost(instance, trace.final)
-    c_max = instance.max_cost()
     per_k = []
     failed = None
     tightest = None
     tightest_bound = None
     for k in range(1, 11):
-        bound = (1 + Fraction(1, 3 ** (k - 1))) * dl + k * c_max
+        bound = (1 + Fraction(1, 3 ** (k - 1))) * base + k * c_max
         holds = cost <= bound
         per_k.append((k, bound, holds))
         if not holds and failed is None:
@@ -457,3 +453,12 @@ def audit_merge_bound(trace: MergeTrace, instance: Instance,
         return MergeBoundAudit(True, tuple(per_k), tightest)
     return MergeBoundAudit(False, tuple(per_k), tightest, f"k = {failed[0]}",
                            f"cost {cost} above bound {failed[1]}")
+
+
+def audit_merge_bound(trace: MergeTrace, instance: Instance,
+                      dual_value_dl) -> MergeBoundAudit:
+    """`audit_cost_bound` on the merged cover, with base DL."""
+    if trace.final is None:
+        raise InputError("trace has no final cover")
+    return audit_cost_bound(cover_cost(instance, trace.final),
+                            Fraction(dual_value_dl), instance.max_cost())

@@ -81,14 +81,13 @@ class Instance:
 
     The matrix is held once, as `row_masks` (bit j of mask i set iff
     element i belongs to set j); n = len(row_masks) and m = len(costs).
-    `col_masks` is derived from it, and `rows` is a tuple-of-rows view
-    built on first use, for boundaries only.  Use `make_instance` or
+    `col_masks` is derived from it.  Use `make_instance` or
     `checked_instance` for validated construction; the bare constructor
     trusts its arguments (used internally for permutations/reductions).
     """
 
     __slots__ = ("n", "m", "row_masks", "col_masks", "costs", "profits",
-                 "target", "_rows", "_gamma_free", "_element_sets",
+                 "target", "_gamma_free", "_element_sets",
                  "_scaled_profits", "_scaled_costs")
 
     def __init__(self, row_masks: tuple[int, ...], costs: tuple[Fraction, ...],
@@ -100,21 +99,10 @@ class Instance:
         self.profits = profits
         self.target = target
         self.col_masks = transpose_masks(row_masks, self.m)
-        self._rows: MatrixRows | None = None
         self._gamma_free: bool | None = None
         self._element_sets: tuple[tuple[int, ...], ...] | None = None
         self._scaled_profits: tuple[int, tuple[int, ...]] | None = None
         self._scaled_costs: tuple[int, tuple[int, ...]] | None = None
-
-    @property
-    def rows(self) -> MatrixRows:
-        """The 0/1 matrix as row tuples, built from `row_masks` on first use
-        and then kept; for the equitable-coloring check and for tests,
-        never on the solve path."""
-        if self._rows is None:
-            self._rows = tuple(tuple(mask >> j & 1 for j in range(self.m))
-                               for mask in self.row_masks)
-        return self._rows
 
     def element_sets(self) -> tuple[tuple[int, ...], ...]:
         """Per element, the ascending indices of the sets containing it;
@@ -136,9 +124,6 @@ class Instance:
         if self._scaled_costs is None:
             self._scaled_costs = _scaled(self.costs)
         return self._scaled_costs
-
-    def sets_of_element(self, i: int) -> tuple[int, ...]:
-        return self.element_sets()[i]
 
     def total_profit(self) -> Fraction:
         return fraction_sum(self.profits)

@@ -26,16 +26,17 @@ from .generators import BlackboxFamily, gen_blackbox_family, Lcg
 from .kolen import KolenResult, audit_optimality, kolen
 from .lp import (dual_value, is_dual_feasible, is_primal_feasible,
                  mixed_cover_point, solve_dual, solve_lp)
-from .merger import (MergerGraph, audit_merge_bound, build_merger_graph,
-                     merge)
+from .merger import (MergerGraph, audit_cost_bound, audit_merge_bound,
+                     build_merger_graph, merge)
 from .model import (Cover, Decomposition, Instance, PermutationPair,
-                    cover_cost, covered_profit, permute_instance, row_bitmasks,
-                    sub_instance)
+                    bit_indices, cover_cost, covered_profit, permute_instance,
+                    row_bitmasks, sub_instance)
 from .tb import standard_greedy_form
 from .threshold import ThresholdResult, find_threshold, kolen_call_budget
 
 BRUTE_FORCE_LIMIT = 24
 ABSORB_ENUM_LIMIT = 10 ** 6
+EQUITABLE_SAMPLES = 20
 
 
 def to_greedy_form(instance: Instance):
@@ -136,7 +137,7 @@ def lemma_witness_check(instance: Instance, graph: MergerGraph,
     for i, (yi, p) in enumerate(zip(y, profits)):
         if yi >= cap_unit * p:
             continue
-        sets_i = instance.sets_of_element(i)
+        sets_i = instance.element_sets()[i]
         plus_hits = [j for j in sets_i if j in pp]
         minus_hits = [j for j in sets_i if j in pm]
         ok = False
@@ -271,8 +272,8 @@ def _reduce_rows(instance: Instance, decomposition: Decomposition,
                     instance.target)
 
 
-def solve_rho_separable(instance: Instance, decomposition: Decomposition,
-                        k: int = 4, *, oracle: bool = False) -> SolveReport:
+def solve_rho_separable(instance: Instance, decomposition: Decomposition, *,
+                        oracle: bool = False) -> SolveReport:
     """Reduce through the fractional optimum to one totally balanced row set.
 
     For each element, some decomposition part must carry at least a 1/rho
@@ -280,11 +281,11 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     those parts is solved instead, and its cover is feasible for the
     original matrix.  At rho = 1 that matrix is the input itself, and
     `lp_value` comes from the inner solve's certified LP optimum instead of
-    a simplex.  Raises InputError for k < 1: the audited bound
-    (1 + 3**(1-k)) * rho * LP + k * c_max is stated for k >= 1.
+    a simplex.  `rho_lp_bound` audits cost <= (1 + 3**(1-k)) * rho * LP +
+    k * c_max at every k = 1..10 (`merger.audit_cost_bound`): rho times
+    the input's x is feasible for the reduced LP, so its optimum is at most
+    rho * LP, and the inner `merge_bound` holds at every k.
     """
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
     t0 = time.perf_counter()
     decomposition.validate_against(instance)
     rho = decomposition.rho
@@ -305,12 +306,8 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
     covered_original = covered_profit(instance, report.cover)
     audits = dict(report.audits)
     audits["feasible_for_original"] = covered_original >= instance.target
-    audits["rho_lp_bound"] = report.cost <= (
-        (1 + Fraction(1, 3 ** (k - 1))) * rho * lp_value
-        + k * instance.max_cost())
-    single_block = _single_blocks(reduced)
-    if single_block and reduced.row_masks == instance.row_masks:
-        audits["single_block_bound"] = report.cost <= lp_value + instance.max_cost()
+    rho_bound = audit_cost_bound(report.cost, rho * lp_value, instance.max_cost())
+    audits["rho_lp_bound"] = rho_bound.ok
 
     ratio = None
     oracle_cost = None
@@ -320,12 +317,14 @@ def solve_rho_separable(instance: Instance, decomposition: Decomposition,
 
     failed = sorted(name for name, ok in audits.items() if not ok)
     if failed:
-        raise AuditError(f"separable solve audits failed: {', '.join(failed)}")
+        raise AuditError("separable solve audits failed: " + ", ".join(
+            _audit_failure(name, rho_bound if name == "rho_lp_bound" else None)
+            for name in failed))
 
     return replace(
         report, covered=covered_original, lp_value=lp_value,
-        single_block=single_block, audits=audits, ratio_vs_oracle=ratio,
-        oracle_cost=oracle_cost,
+        single_block=_single_blocks(reduced), audits=audits,
+        ratio_vs_oracle=ratio, oracle_cost=oracle_cost,
         timings={**report.timings, "lp": t_lp - t0,
                  "total": time.perf_counter() - t0})
 
@@ -334,18 +333,16 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
                           decomposition: Decomposition | None = None) -> Cover:
     """Trade the additive c_max term for enumeration of small set prefixes.
 
-    Runs the base solver on every reduced instance obtained by committing
-    to a size-s subset X of sets (s = ceil(k / (alpha - 1))), dropping the
-    sets costlier than X's cheapest member, the elements X covers, and
-    X's profit from the target.  The cheapest feasible combination wins;
-    the plain solve always participates, so the result never costs more
-    than it.
+    Runs the base solver (`solve_rho_separable` with a decomposition,
+    `solve_partial_tbc` without) on every reduced instance obtained by
+    committing to a size-s subset X of sets (s = ceil(k / (alpha - 1))),
+    dropping the sets costlier than X's cheapest member, the elements X
+    covers, and X's profit from the target.  k sets only that size.  The
+    cheapest feasible combination wins; the plain solve always
+    participates, so the result never costs more than it.
     """
     if k < 0:
         raise InputError(f"absorption k must be nonnegative, got {k}")
-    if decomposition is not None and k < 1:
-        raise InputError(f"absorption k must be at least 1 with a decomposition, "
-                         f"where it is also the rho bound's k; got {k}")
     alpha = as_rational(alpha)
     if alpha <= 1:
         raise InputError(f"alpha must exceed 1, got {alpha}")
@@ -357,7 +354,7 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
     def base_solve(inst: Instance, dec: Decomposition | None) -> SolveReport:
         if dec is None:
             return solve_partial_tbc(inst)
-        return solve_rho_separable(inst, dec, k)
+        return solve_rho_separable(inst, dec)
 
     plain = base_solve(instance, decomposition)
     best_cost = plain.cost
@@ -656,60 +653,38 @@ def simulate_blackbox_lb(q: int, alpha, lambda_schedule=None,
 # ---------------------------------------------------------------------------
 
 
-def equitable_coloring_check(matrix, samples: int = 20, roles=None) -> bool:
-    """Red/blue column balance check on sampled submatrices.
+def equitable_coloring_check(row_masks, m: int, roles) -> bool:
+    """Red/blue column balance check on the whole matrix and on
+    EQUITABLE_SAMPLES sampled submatrices.
 
-    With `roles` (per-column ("O"|"A"|"B", index) tags) the constructive
+    `roles` tags each column ("O"|"A"|"B", index), and the constructive
     coloring is used: A columns blue; for each index with both its B and O
-    column present, B red and O blue; a lone survivor red.  Without roles,
-    all 2**m colorings are tried (guarded).  Returns False as report
-    content, never raises for imbalance.
+    column present, B red and O blue; a lone survivor red.  Returns False
+    as report content, never raises for imbalance.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
+    n = len(row_masks)
 
-    def balanced(row_idx, col_idx, red: set[int]) -> bool:
+    def balanced(row_idx, cols: int) -> bool:
+        pairs: dict[int, dict[str, int]] = {}
+        for j in bit_indices(cols):
+            kind, idx = roles[j]
+            if kind in ("B", "O"):
+                pairs.setdefault(idx, {})[kind] = j
+        red = sum(1 << pair.get("B", pair.get("O")) for pair in pairs.values())
         for i in row_idx:
-            blue_ones = sum(1 for j in col_idx if rows[i][j] and j not in red)
-            red_ones = sum(1 for j in col_idx if rows[i][j] and j in red)
-            if abs(blue_ones - red_ones) > 1:
+            ones = row_masks[i] & cols
+            red_ones = (ones & red).bit_count()
+            if abs(ones.bit_count() - 2 * red_ones) > 1:
                 return False
         return True
 
-    if roles is None:
-        check_guard(m <= 20, f"exhaustive coloring limited to 20 columns, got {m}")
-        all_rows = tuple(range(n))
-        all_cols = tuple(range(m))
-        for bits in range(1 << m):
-            red = {j for j in range(m) if bits >> j & 1}
-            if balanced(all_rows, all_cols, red):
-                return True
+    if not balanced(range(n), (1 << m) - 1):
         return False
-
-    def constructive(col_idx) -> set[int]:
-        present: dict[int, dict[str, int]] = {}
-        red: set[int] = set()
-        for j in col_idx:
-            kind, idx = roles[j]
-            if kind in ("B", "O"):
-                present.setdefault(idx, {})[kind] = j
-        for idx, pair in present.items():
-            if "B" in pair and "O" in pair:
-                red.add(pair["B"])
-            else:
-                red.add(next(iter(pair.values())))
-        return red
-
     rng = Lcg(0xC010)
-    samples_list = [(tuple(range(n)), tuple(range(m)))]
-    for _ in range(samples):
+    for _ in range(EQUITABLE_SAMPLES):
         row_idx = tuple(i for i in range(n) if rng.below(2))
-        col_idx = tuple(j for j in range(m) if rng.below(2))
-        if row_idx and col_idx:
-            samples_list.append((row_idx, col_idx))
-    for row_idx, col_idx in samples_list:
-        if not balanced(row_idx, col_idx, constructive(col_idx)):
+        cols = sum(1 << j for j in range(m) if rng.below(2))
+        if row_idx and cols and not balanced(row_idx, cols):
             return False
     return True
 

@@ -21,23 +21,26 @@ from pcover.errors import InternalInvariantError
 from pcover.kolen import OptimalityAudit
 from pcover.model import Cover, bit_indices, covered_element_mask
 
+from dense import rows_of
+
 
 def reference_dual_update(instance, lam):
     """(y, residuals) as DeltaRational tuples."""
     lam = DeltaRational.of(lam)
     residuals = [DeltaRational(c) for c in instance.costs]
+    rows = rows_of(instance)
     y = []
     for i in range(instance.n):
         cap = lam * instance.profits[i]
         best = None
         for j in range(instance.m):
-            if instance.rows[i][j] and (best is None or residuals[j] < best):
+            if rows[i][j] and (best is None or residuals[j] < best):
                 best = residuals[j]
         yi = cap if best is None or cap < best else best
         y.append(yi)
-        if not yi.is_zero():
+        if yi != 0:
             for j in range(instance.m):
-                if instance.rows[i][j]:
+                if rows[i][j]:
                     residuals[j] = residuals[j] - yi
     return tuple(y), tuple(residuals)
 
@@ -54,7 +57,7 @@ def reference_positive_mask(y):
 def reference_kolen(instance, lam):
     """(y, residuals, tight, pruned) of one run, tight and pruned as Covers."""
     y, residuals = reference_dual_update(instance, lam)
-    tight = [j for j, r in enumerate(residuals) if r.is_zero()]
+    tight = [j for j, r in enumerate(residuals) if r == 0]
     pos_mask = reference_positive_mask(y)
     remaining = set(tight)
     pruned = []
@@ -75,10 +78,11 @@ def reference_dual_lines(instance, lo, hi, envelope):
     the module attribute it counts.
     """
     residuals = [(c, Fraction(0)) for c in instance.costs]
+    rows = rows_of(instance)
     lines = []
     mid = (lo + hi) / 2
     for i in range(instance.n):
-        sets = [j for j in range(instance.m) if instance.rows[i][j]]
+        sets = [j for j in range(instance.m) if rows[i][j]]
         candidates = [residuals[j] for j in sets]
         candidates.append((Fraction(0), instance.profits[i]))
         bps = envelope(candidates, (lo, hi))

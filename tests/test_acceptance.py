@@ -170,7 +170,7 @@ def test_criterion_8_interval_stabbing_fast_path():
         rect = gen_random_rectangles(seed, 1)
         inst, dec, flag = reduce_rectangle_stabbing(rect)
         assert flag
-        report = solve_rho_separable(inst, dec, 4)
+        report = solve_rho_separable(inst, dec)
         assert report.cost <= report.lp_value + inst.max_cost(), seed
         assert report.splits <= 1, seed
         worst_splits = max(worst_splits, report.splits)

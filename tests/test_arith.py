@@ -133,5 +133,5 @@ def test_order_matches_small_concrete_evaluations():
     d0 = min(gaps) / 2
     for a in sample:
         for b in sample:
-            va, vb = a.at(d0), b.at(d0)
+            va, vb = a.value + a.delta * d0, b.value + b.delta * d0
             assert _three_way(va, vb) == _three_way(a, b)

@@ -13,6 +13,7 @@ from pcover.generators import (TreeInstance, corpus_instance,
                                gen_random_tree_instance, reduce_multicut,
                                gen_random_descending_paths)
 from pcover.model import make_instance
+from pcover.pipeline import solve_rho_separable
 
 
 def test_instance_round_trip():
@@ -83,14 +84,11 @@ def test_decomposition_round_trip_without_sets():
     assert formats.parse_decomposition(text, 4, 0) == dec
 
 
-def test_tree_round_trip():
+def test_tree_render():
+    # Written into the meta file of `generate multicut`; no command reads it.
     tree = TreeInstance((-1, 0, 0, 1), (F(1), F(2), F(1, 2)),
                         ((1, 2, F(3)), (0, 3, F(1))))
-    text = formats.render_tree(tree)
-    parsed = formats.parse_tree(text)
-    assert parsed.parents == tree.parents
-    assert parsed.edge_costs == tree.edge_costs
-    assert parsed.demands == tree.demands
+    assert formats.render_tree(tree) == "TREE 1\n4\n0 1 1 2\n1 2 1/2\n2 3 3\n1 4 1\n"
 
 
 @pytest.fixture()
@@ -103,8 +101,7 @@ def test_cli_generate_and_solve(workdir):
                   "--cover-paths", "5", "--demand-paths", "5",
                   "--out", str(workdir / "fix"), cwd=workdir)
     assert out.returncode == 0, out.stderr
-    solved = run_cli("solve", "--input", str(workdir / "fix.pcov"),
-                     "--k", "3", "--oracle",
+    solved = run_cli("solve", "--input", str(workdir / "fix.pcov"), "--oracle",
                      "--output", str(workdir / "report.json"), cwd=workdir)
     assert solved.returncode == 0, solved.stderr
     doc = json.loads((workdir / "report.json").read_text())
@@ -129,7 +126,7 @@ def test_cli_solve_gap_with_oracle(workdir):
     out = run_cli("generate", "gap", "--q", "1", "--out", str(workdir / "gap"),
                   cwd=workdir)
     assert out.returncode == 0, out.stderr
-    solved = run_cli("solve", "--input", str(workdir / "gap.pcov"), "--k", "3",
+    solved = run_cli("solve", "--input", str(workdir / "gap.pcov"),
                      "--oracle", "--output", str(workdir / "r.json"), cwd=workdir)
     assert solved.returncode == 0, solved.stderr
     payload = json.loads((workdir / "r.json").read_text())["payload"]
@@ -309,9 +306,9 @@ def test_experiment_gap_runs_no_simplex(workdir, monkeypatch):
     ["experiment", "corpus", "--seeds", "5..3"],
     ["solve", "--input", "{pcov}", "--absorb", "x", "2"],
     ["solve", "--input", "{pcov}", "--absorb", "-1", "2"],
-    ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--absorb", "0", "2"],
-    ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--k", "0"],
-    ["solve", "--input", "{pcov}", "--decomposition", "{dec}", "--k", "-1"],
+    ["generate", "random", "--cover-paths", "-1"],
+    ["generate", "random", "--demand-paths", "-1"],
+    ["generate", "rects", "--dim", "0"],
     ["verify", "tb"],
     ["verify", "sgf"],
     ["verify", "lp-duality"],
@@ -323,6 +320,48 @@ def test_cli_bad_arguments_exit_2(workdir, capsys, argv):
     paths = {"pcov": workdir / "mc.pcov", "dec": workdir / "mc.dec"}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--input", "{pcov}", "--output", "{missing}/x.json"], "cannot write"),
+    (["generate", "gap", "--out", "{missing}/g"], "cannot write"),
+    (["experiment", "gap", "--output", "{missing}/x"], "cannot write"),
+    (["solve", "--input", "{binary}"], "cannot read"),
+    (["solve", "--input", "{pcov}", "--decomposition", "{binary}"], "cannot read"),
+])
+def test_cli_file_errors_exit_2(workdir, capsys, argv, message):
+    instance = make_instance([[1, 0], [0, 1]], [1, 1], [1, 1], 1)
+    (workdir / "ok.pcov").write_text(formats.render_instance(instance))
+    (workdir / "bin.pcov").write_bytes(b"PCOV 1\n\xff\n")
+    paths = {"pcov": workdir / "ok.pcov", "binary": workdir / "bin.pcov",
+             "missing": workdir / "no" / "such"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "{pcov}", "--k", "4"],
+    ["verify", "equitable", "--samples", "3"],
+])
+def test_cli_removed_options_rejected(workdir, argv):
+    (workdir / "ok.pcov").write_text(formats.render_instance(
+        make_instance([[1]], [1], [1], 1)))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(pcov=workdir / "ok.pcov") for arg in argv])
+    assert exc.value.code == 2
+
+
+def test_cli_absorb_k0_with_decomposition_is_the_rho_solve(workdir):
+    # --absorb 0 A with a decomposition enumerates nothing: the plain rho solve.
+    instance, decomposition = reduce_multicut(gen_random_tree_instance(4))
+    (workdir / "mc.pcov").write_text(formats.render_instance(instance))
+    (workdir / "mc.dec").write_text(formats.render_decomposition(decomposition))
+    assert main(["solve", "--input", str(workdir / "mc.pcov"),
+                 "--decomposition", str(workdir / "mc.dec"),
+                 "--absorb", "0", "2", "--output", str(workdir / "a.json")]) == 0
+    payload = json.loads((workdir / "a.json").read_text())["payload"]
+    assert payload["cover"] == list(solve_rho_separable(instance, decomposition).cover.sets)
 
 
 def test_report_payload_is_stable():

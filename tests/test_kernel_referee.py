@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dense import rows_of
 from kolen_reference import (reference_audit_optimality, reference_dual_lines,
                              reference_kolen, reference_positive_mask)
 from pcover import arith, lp, model, pipeline, threshold
@@ -54,7 +55,7 @@ def fractional_instances(count):
     out = []
     for seed in range(count):
         work, _ = to_greedy_form(corpus_instance(seed))
-        rows = [list(row) for row in work.rows]
+        rows = [list(row) for row in rows_of(work)]
         at = rng.below(len(rows) + 1)
         rows.insert(at, [0] * work.m)  # an empty row keeps the matrix gamma-free
         costs = [F(rng.below(20), 1 + rng.below(6)) for _ in range(work.m)]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+from dense import rows_of
 from pcover.arith import format_rational
 from pcover.formats import (INSTANCE_MAGIC, parse_instance, render_instance,
                             render_payload)
@@ -21,21 +22,17 @@ from test_pipeline import _lcg_shuffle
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
-def _rows_forbidden(self):
-    raise AssertionError("Instance.rows read on the solve path")
-
-
-def test_solve_path_never_reads_rows(monkeypatch):
+def test_solve_path_never_reads_rows():
+    # Instance holds no dense view: the matrix is its row masks alone.
+    assert not hasattr(Instance, "rows") and "_rows" not in Instance.__slots__
     fam = gen_gap_family(2)
     rng = Lcg(1)
     shuffled = permute_instance(fam.instance, PermutationPair(
         _lcg_shuffle(fam.instance.n, rng), _lcg_shuffle(fam.instance.m, rng)))
     assert standard_greedy_form(shuffled.row_masks, shuffled.m).mode == "doubly-lexical"
-    # Built before the patch: only the solve path is under test.
     rho_inputs = ([reduce_multicut(gen_random_tree_instance(s)) for s in range(1, 6)]
                   + [reduce_rectangle_stabbing(gen_random_rectangles(s, 2))[:2]
                      for s in range(1, 4)])
-    monkeypatch.setattr(Instance, "rows", property(_rows_forbidden))
     for inst in (gen_gap_family(1).instance, fam.instance, shuffled):
         report = solve_partial_tbc(parse_instance(render_instance(inst)))
         render_payload(report.payload())
@@ -52,7 +49,7 @@ def render_by_rows(instance: Instance) -> str:
            format_rational(instance.target),
            " ".join(format_rational(c) for c in instance.costs),
            " ".join(format_rational(p) for p in instance.profits)]
-    for row in instance.rows:
+    for row in rows_of(instance):
         out.append("".join(str(v) for v in row))
     return "\n".join(out) + "\n"
 
@@ -85,9 +82,10 @@ def instances(draw):
 @PROPERTY
 @given(instances())
 def test_masks_agree_with_rows(inst):
-    assert make_instance(inst.rows, inst.costs, inst.profits, inst.target) == inst
+    rows = rows_of(inst)
+    assert make_instance(rows, inst.costs, inst.profits, inst.target) == inst
     assert [bit_indices(mask) for mask in inst.col_masks] == [
-        tuple(i for i in range(inst.n) if inst.rows[i][j]) for j in range(inst.m)]
+        tuple(i for i in range(inst.n) if rows[i][j]) for j in range(inst.m)]
     assert render_instance(inst) == render_by_rows(inst)
     assert parse_instance(render_instance(inst)) == inst
 
@@ -98,7 +96,7 @@ def test_permute_instance_matches_matrix_permutation(inst, data):
     perm = PermutationPair(tuple(data.draw(st.permutations(range(inst.n)))),
                            tuple(data.draw(st.permutations(range(inst.m)))))
     out = permute_instance(inst, perm)
-    assert out.rows == perm.apply_to_matrix(inst.rows)
+    assert rows_of(out) == perm.apply_to_matrix(rows_of(inst))
     assert all(out.costs[perm.col_perm[j]] == c for j, c in enumerate(inst.costs))
     assert all(out.profits[perm.row_perm[i]] == p for i, p in enumerate(inst.profits))
     assert permute_instance(out, perm.inverse()) == inst
@@ -112,8 +110,9 @@ def test_sub_instance_matches_row_slicing(inst, data):
     keep_cols = data.draw(st.lists(st.sampled_from(range(inst.m)), unique=True)
                           if inst.m else st.just([]))
     sub = sub_instance(inst, keep_rows, keep_cols, 0)
-    assert sub.rows == tuple(tuple(inst.rows[i][j] for j in keep_cols)
-                             for i in keep_rows)
+    rows = rows_of(inst)
+    assert rows_of(sub) == tuple(tuple(rows[i][j] for j in keep_cols)
+                                 for i in keep_rows)
     assert sub.costs == tuple(inst.costs[j] for j in keep_cols)
     assert sub.profits == tuple(inst.profits[i] for i in keep_rows)
     assert (sub.n, sub.m, sub.target) == (len(keep_rows), len(keep_cols), 0)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dense import rows_of
 from pcover.errors import InputError
 from pcover.generators import Lcg, corpus_instance
 from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
@@ -100,7 +101,7 @@ def test_permute_instance_moves_data_consistently():
     inst = make_instance([[1, 0], [1, 1]], [3, 4], [5, 6], 2)
     pair = PermutationPair((1, 0), (1, 0))
     out = permute_instance(inst, pair)
-    assert out.rows == ((1, 1), (0, 1))
+    assert rows_of(out) == ((1, 1), (0, 1))
     assert out.costs == (F(4), F(3))
     assert out.profits == (F(6), F(5))
     back = permute_instance(out, pair.inverse())

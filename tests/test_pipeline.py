@@ -1,9 +1,11 @@
 """End-to-end solvers, oracles, absorption, and the adversary simulation."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from dense import rows_of
 from pcover import cli, pipeline
 from pcover.errors import (GUARD_ENV, AuditError, InfeasibleError, InputError,
                            SizeGuardError)
@@ -13,7 +15,8 @@ from pcover.generators import (Lcg, corpus_instance, gen_blackbox_family,
                                reduce_rectangle_stabbing)
 from pcover.merger import MergeBoundAudit
 from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
-                          covered_profit, make_instance, permute_instance)
+                          covered_profit, make_instance, permute_instance,
+                          sub_instance)
 from pcover.pipeline import (absorb_additive_error, audit_corpus_entry,
                              brute_force_partial, brute_force_prize_collecting,
                              equitable_coloring_check, simulate_blackbox_lb,
@@ -127,8 +130,8 @@ def test_solve_permutation_invariance():
 
 def test_rho_separable_single_part_reduces_to_plain_solve():
     inst = corpus_instance(2)
-    dec = Decomposition(1, (inst.rows,))
-    a = solve_rho_separable(inst, dec, 4)
+    dec = Decomposition(1, (rows_of(inst),))
+    a = solve_rho_separable(inst, dec)
     b = solve_partial_tbc(inst)
     assert a.cover == b.cover and a.cost == b.cost
 
@@ -137,7 +140,7 @@ def test_rho_separable_multicut_bound():
     for seed in (1, 2, 3, 4):
         tree = gen_random_tree_instance(seed)
         inst, dec = reduce_multicut(tree)
-        report = solve_rho_separable(inst, dec, 4, oracle=True)
+        report = solve_rho_separable(inst, dec, oracle=True)
         assert covered_profit(inst, report.cover) >= inst.target
         bound = (1 + F(1, 27)) * 2 * report.lp_value + 4 * inst.max_cost()
         assert report.cost <= bound
@@ -145,7 +148,7 @@ def test_rho_separable_multicut_bound():
 
 def test_rho_separable_timings_include_its_lp():
     inst, dec = reduce_multicut(gen_random_tree_instance(1))
-    timings = solve_rho_separable(inst, dec, 4).timings
+    timings = solve_rho_separable(inst, dec).timings
     assert set(timings) == {"greedy_form", "threshold", "merge", "certificate",
                             "lp", "total"}
     inner = (timings["greedy_form"] + timings["threshold"] + timings["merge"]
@@ -159,26 +162,27 @@ def test_absorb_k0_is_plain_solve():
     assert cover == solve_partial_tbc(inst).cover
 
 
-def test_absorb_k0_with_decomposition_rejected_before_solving(monkeypatch):
-    # With a decomposition, K is also the rho bound's k, which needs k >= 1:
-    # the error names the absorption K, and no solve runs first.
-    inst, dec = reduce_multicut(gen_random_tree_instance(4))
+def test_rho_bound_failure_names_its_clause(monkeypatch):
+    # A cost above (1 + 3**(1-k)) * rho * LP + k * c_max at k = 1 fails the
+    # rho audit, which names the clause and its detail.
+    inst, dec = reduce_multicut(gen_random_tree_instance(1))
+    solve = pipeline.solve_partial_tbc
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before rejecting K")
+    def inflated(instance):
+        report = solve(instance)
+        return replace(report, cost=report.cost + 10 ** 6)
 
-    monkeypatch.setattr(pipeline, "solve_rho_separable", no_solve)
-    monkeypatch.setattr(pipeline, "solve_partial_tbc", no_solve)
-    with pytest.raises(InputError, match="absorption k must be at least 1 "
-                                         "with a decomposition"):
-        absorb_additive_error(inst, 0, F(2), dec)
+    monkeypatch.setattr(pipeline, "solve_partial_tbc", inflated)
+    with pytest.raises(AuditError, match=r"rho_lp_bound: clause k = 1: cost [\d/]+ "
+                                         r"above bound"):
+        solve_rho_separable(inst, dec)
 
 
 def test_absorb_never_worse_than_plain():
     for seed in (1, 2, 3):
         tree = gen_random_tree_instance(seed)
         inst, dec = reduce_multicut(tree)
-        plain = solve_rho_separable(inst, dec, 4)
+        plain = solve_rho_separable(inst, dec)
         absorbed = absorb_additive_error(inst, 4, F(56, 27), dec)
         assert cover_cost(inst, absorbed) <= plain.cost
         assert covered_profit(inst, absorbed) >= inst.target
@@ -247,18 +251,24 @@ def test_blackbox_custom_schedule():
 def test_equitable_coloring_tu_family():
     for q in (2, 3):
         fam = gen_blackbox_family(q, 1, "tu")
-        assert equitable_coloring_check(fam.instance.rows, roles=fam.roles)
+        assert equitable_coloring_check(fam.instance.row_masks, fam.instance.m,
+                                        fam.roles)
 
 
 def test_equitable_coloring_a_columns_only():
     fam = gen_blackbox_family(2, 1, "tu")
-    rows = tuple(tuple(row[j] for j in fam.a_cols) for row in fam.instance.rows)
+    sub = sub_instance(fam.instance, range(fam.instance.n), fam.a_cols, 0)
     roles = tuple(fam.roles[j] for j in fam.a_cols)
-    assert equitable_coloring_check(rows, roles=roles)
+    assert equitable_coloring_check(sub.row_masks, sub.m, roles)
 
 
-def test_equitable_coloring_exhaustive_rejects_odd_cycle():
-    assert not equitable_coloring_check([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+def test_equitable_coloring_rejects_an_unbalancing_role_assignment():
+    # Tagged A, every column of the TU family is blue, and a row with two
+    # or more ones is unbalanced.
+    fam = gen_blackbox_family(2, 1, "tu")
+    all_blue = (("A", 0),) * fam.instance.m
+    assert not equitable_coloring_check(fam.instance.row_masks, fam.instance.m,
+                                        all_blue)
 
 
 def test_interval_stabbing_strong_bound():
@@ -266,7 +276,7 @@ def test_interval_stabbing_strong_bound():
         rect = gen_random_rectangles(seed, 1)
         inst, dec, flag = reduce_rectangle_stabbing(rect)
         assert flag
-        report = solve_rho_separable(inst, dec, 4)
+        report = solve_rho_separable(inst, dec)
         assert report.single_block
         assert report.cost <= report.lp_value + inst.max_cost()
         assert report.splits <= 1

@@ -8,6 +8,7 @@ InputError or InfeasibleError (exit 3).  No other exception may escape.
 
 from hypothesis import given, settings, strategies as st
 
+from dense import rows_of
 from pcover.errors import InfeasibleError, InputError
 from pcover.formats import parse_instance, render_instance
 from pcover.generators import corpus_instance
@@ -56,7 +57,7 @@ EDIT = st.tuples(st.sampled_from(["zero_cost", "zero_profit", "duplicate_row",
 def _edited(seed, edits):
     """A corpus instance's data after the degenerate edits, in order."""
     inst = corpus_instance(seed)
-    rows = [list(row) for row in inst.rows]
+    rows = [list(row) for row in rows_of(inst)]
     costs, profits, target = list(inst.costs), list(inst.profits), inst.target
     for kind, pick in edits:
         i, j = pick % len(rows), pick % len(costs)

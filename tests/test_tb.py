@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from dense import rows_of
 from pcover.errors import GUARD_ENV, SizeGuardError
 from pcover.generators import gen_random_descending_paths
 from pcover.model import make_instance, permute_instance, row_bitmasks
@@ -75,7 +76,7 @@ def test_guard_override_env(monkeypatch):
 def test_sgf_on_already_gamma_free():
     sgf, permuted = reordered([[1, 0], [0, 1]])
     assert sgf.ok and sgf.mode == "identity"
-    assert permuted.rows == ((1, 0), (0, 1))
+    assert rows_of(permuted) == ((1, 0), (0, 1))
 
 
 def test_sgf_on_forbidden_pattern():
@@ -97,7 +98,7 @@ def test_sgf_matches_permutation():
     sgf, permuted = reordered(rows)
     assert sgf.ok
     assert is_gamma_free(permuted.row_masks)
-    assert sgf.perm.apply_to_matrix(rows) == permuted.rows
+    assert sgf.perm.apply_to_matrix(rows) == rows_of(permuted)
 
 
 def test_exhaustive_3x3_cross_validation():

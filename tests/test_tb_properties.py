@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from dense import rows_of
 from pcover.generators import (corpus_instance, gen_gap_family,
                                gen_random_descending_paths)
 from pcover.model import (PermutationPair, covered_profit, make_instance,
@@ -40,7 +41,7 @@ def test_shuffled_tb_instances_reorder_and_solve(pair):
     assert sgf.ok
     permuted = permute_instance(inst, sgf.perm)
     assert is_gamma_free(permuted.row_masks)
-    assert sgf.perm.apply_to_matrix(inst.rows) == permuted.rows
+    assert sgf.perm.apply_to_matrix(rows_of(inst)) == rows_of(permuted)
     report = solve_partial_tbc(inst)
     assert covered_profit(inst, report.cover) >= inst.target
     assert report.dl_value == solve_partial_tbc(base).dl_value

@@ -180,14 +180,14 @@ def cmd_verify(args) -> int:
             raise InputError(f"verify {check} needs --input")
         instance = formats.parse_instance(_read(args.input))
     if check == "tb":
-        direct = is_totally_balanced(instance.row_masks, instance.m)
-        sgf = standard_greedy_form(instance.row_masks, instance.m)
+        direct = is_totally_balanced(instance)
+        sgf = standard_greedy_form(instance)
         agree = direct == sgf.ok
         print(f"totally-balanced: direct={direct} reorder={sgf.ok} "
               f"{'PASS' if agree else 'FAIL'}")
         return EXIT_OK if agree else EXIT_AUDIT
     if check == "sgf":
-        sgf = standard_greedy_form(instance.row_masks, instance.m)
+        sgf = standard_greedy_form(instance)
         if sgf.ok:
             print(f"greedy standard form found ({sgf.mode}); "
                   f"row_perm={list(sgf.perm.row_perm)} col_perm={list(sgf.perm.col_perm)}")
@@ -230,6 +230,8 @@ def _parse_seed_range(text: str) -> list[int]:
 def cmd_experiment(args) -> int:
     name = args.name
     if name == "gap":
+        if args.qmax < 1:
+            raise InputError("qmax must be >= 1")
         rows = []
         for q in range(1, args.qmax + 1):
             fam = generators.gen_gap_family(q)
@@ -267,6 +269,8 @@ def cmd_experiment(args) -> int:
         return EXIT_OK if transcript.lmp_all_ok else EXIT_AUDIT
     if name == "corpus":
         seeds = _parse_seed_range(args.seeds)
+        if args.jobs < 1:
+            raise InputError("jobs must be >= 1")
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 entries = list(pool.map(pipeline.audit_corpus_entry, seeds))

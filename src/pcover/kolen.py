@@ -27,22 +27,33 @@ A run may also resume from a `LinePrefix`: the first elements' duals and
 every set's residual after them, each a line in lambda that the caller
 knows to hold on an open interval.  At a multiplier inside that interval,
 or formally perturbed from a point inside it, each line's packed value is
-A * (cost unit) + B * (cap unit), two products, and the update runs only
-from the first element after the prefix.  A dual line that is nonnegative
-on the interval and zero at a point inside it is zero throughout, so the
-prefix's positive-dual mask is the mask of its nonzero lines, the same at
-every such multiplier.  The resumed run's packed ints, covers and decoded
-duals are those of the run from element 0.
+A * (cost unit) + B * (cap unit), two products.  A line that is
+nonnegative on the interval and zero at a point inside it is zero
+throughout, so the prefix's positive-dual mask (its nonzero dual lines)
+and its tight sets (its zero residual lines) are the same at every such
+multiplier.  The resumed run therefore evaluates only the residuals of
+the sets that meet the suffix and runs the update from the first element
+after the prefix; its tight cover is the prefix's tight sets outside the
+suffix and the suffix sets whose residual ends at zero, with no scan over
+the other residuals.  The prefix's duals and the residuals of the other
+sets are evaluated only when the run is decoded.  The resumed run's
+covers and decoded duals are those of the run from element 0.
 
 `kolen` is the one way into the run.  It keeps the run packed: its pruned
-and tight covers and the mask of its elements of positive dual (which the
-prune needs, and the merger graph reads) are computed eagerly, and
-`KolenResult.dual` decodes the DualSolution only when it is read.
+and tight covers, the mask of its elements of positive dual (which the
+prune needs, and the merger graph reads) and the mask of the elements its
+pruned cover covers (which the prune builds, and the threshold search
+reads) are computed eagerly, and `KolenResult.dual` decodes the
+DualSolution only when it is read.  The decode unpacks each distinct
+packed value once, so the runs a search keeps, whose duals take a handful
+of distinct values, build a handful of DeltaRationals; they are
+immutable, so sharing them is safe.
 `audit_optimality` is the checker, kept independent of this kernel:
-it reads the decoded DeltaRationals and the instance's Fractions, never
-the packed ints or the scaled profits, and puts their value and delta
-parts over common denominators of its own with `arith.common_scale`,
-so its clauses are int sums and int comparisons.  The kernel never calls
+it reads the decoded DeltaRationals, the instance's Fractions and its
+sparse index (the input, not kernel state), never the packed ints or the
+scaled profits, and puts their value and delta parts over common
+denominators of its own with `arith.common_scale`, so its clauses are
+int sums and int comparisons.  The kernel never calls
 `common_scale` or `fraction_sum`, so a fault in them cannot hide a fault
 of the kernel.
 """
@@ -52,10 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .arith import DeltaRational, common_scale, fraction_sum
 from .errors import InputError
-from .model import Cover, Instance, bit_indices, covered_element_mask
+from .model import Cover, Instance, covered_element_mask
 from .tb import is_gamma_free
 
 _ZERO = Fraction(0)
@@ -78,32 +90,54 @@ class LinePrefix:
     after them, each a pair (A, B) of ints standing for A / L_c + lambda *
     B / L_p, in the units of `Instance.scaled_costs()` and
     `scaled_profits()`.  `positive` is the mask of the elements whose line
-    is not zero.  The caller vouches that the lines are the run's own on
-    an open interval of lambda, and passes multipliers whose value part
-    lies inside it.
+    is not zero, `suffix_sets` the ascending indices of the sets that meet
+    an element from len(y) on, and `outside_tight` the indices, in any
+    order, of the other sets whose residual line is (0, 0).  The caller
+    vouches that the lines are the run's own on an open interval of
+    lambda, and passes multipliers whose value part lies inside it.  A
+    resumed run evaluates only the `suffix_sets` lines and keeps no
+    prefix duals; the other lines are read only when the run is decoded.
     """
 
     y: tuple[tuple[int, int], ...]
     residuals: tuple[tuple[int, int], ...]
     positive: int
+    suffix_sets: tuple[int, ...]
+    outside_tight: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class _PackedDual:
     """A dual solution as packed ints ``V * base + E``, |E| <= base // 2.
 
-    `decode` builds each DeltaRational from the two Fractions it makes, with
-    no re-coercion, and shares one zero Fraction among the zero delta parts.
+    Without a prefix, `y` and `residuals` hold every element's dual and
+    every set's residual.  After a `prefix`, `y` holds only the duals from
+    element len(prefix.y) on and `residuals` only the residuals of the
+    prefix's `suffix_sets` (None elsewhere); the other values are the
+    prefix's lines at the run's units, A * cost_unit + B * cap_unit, and
+    `decode` evaluates them.  `decode` unpacks each distinct packed value
+    once and builds its DeltaRational from the two Fractions it makes,
+    with no re-coercion, sharing one zero Fraction among the zero delta
+    parts.
     """
 
     lam: DeltaRational
     y: list[int]
-    residuals: list[int]
+    residuals: list[int | None]
     value_scale: int
     delta_scale: int
     base: int
+    prefix: LinePrefix | None
+    cost_unit: int
+    cap_unit: int
 
     def decode(self) -> DualSolution:
+        y, residuals = self.y, self.residuals
+        if self.prefix is not None:
+            cost_unit, cap_unit = self.cost_unit, self.cap_unit
+            y = [u * cost_unit + v * cap_unit for u, v in self.prefix.y] + y
+            residuals = [u * cost_unit + v * cap_unit if r is None else r
+                         for r, (u, v) in zip(residuals, self.prefix.residuals)]
         half, base = self.base // 2, self.base
         value_scale, delta_scale = self.value_scale, self.delta_scale
         exact = DeltaRational.of_fractions
@@ -114,26 +148,32 @@ class _PackedDual:
             return exact(Fraction(v, value_scale),
                          Fraction(e, delta_scale) if e else _ZERO)
 
-        return DualSolution(tuple(map(unpack, self.y)), self.lam,
-                            tuple(map(unpack, self.residuals)))
+        table = {x: unpack(x) for x in set(y).union(residuals)}
+        return DualSolution(tuple(map(table.__getitem__, y)), self.lam,
+                            tuple(map(table.__getitem__, residuals)))
 
 
 class KolenResult:
-    """Pruned and tight covers of one run, its dual solution, and the mask
-    of its elements of positive dual.
+    """Pruned and tight covers of one run, its dual solution, the mask of
+    its elements of positive dual, and the mask of the elements the
+    pruned cover covers.
 
     `dual` is a DualSolution, or a packed run that is decoded into one the
     first time `dual` is read.  `positive` has bit i set when y_i > 0; the
-    merger graph reads it, so it needs no decoded dual.
+    merger graph reads it, so it needs no decoded dual.  `covered` is the
+    union of the pruned sets' column masks, which the prune builds as it
+    keeps them; the threshold search's coverage reads it.
     """
 
-    __slots__ = ("pruned", "tight", "_dual", "positive")
+    __slots__ = ("pruned", "tight", "_dual", "positive", "covered")
 
-    def __init__(self, pruned: Cover, tight: Cover, dual, positive: int):
+    def __init__(self, pruned: Cover, tight: Cover, dual, positive: int,
+                 covered: int):
         self.pruned = pruned
         self.tight = tight
         self._dual = dual
         self.positive = positive
+        self.covered = covered
 
     @property
     def dual(self) -> DualSolution:
@@ -147,7 +187,7 @@ class KolenResult:
 
 def _require_sgf(instance: Instance) -> None:
     if instance._gamma_free is None:
-        instance._gamma_free = is_gamma_free(instance.row_masks)
+        instance._gamma_free = is_gamma_free(instance)
     if not instance._gamma_free:
         raise InputError("matrix is not in greedy standard form")
 
@@ -168,7 +208,9 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational,
     An element contained in no set gets the full penalty cap lambda * p_i.
     Residuals never go negative, so an element in a set whose residual is
     zero gets a zero dual: a mask of those tight sets settles it with one
-    AND, and only the other elements compare their sets' residuals.
+    AND, and only the other elements compare their sets' residuals.  After
+    a prefix, only the sets that meet the suffix get a packed residual:
+    no other set is read by the update.
     """
     a, b = lam.value.numerator, lam.value.denominator
     d_num, d_den = lam.delta.numerator, lam.delta.denominator
@@ -178,19 +220,24 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational,
     cap_unit = a * l_c * base + d_num  # lambda * p_i packs as cap_unit * P_i
     cost_unit = l_p * b * base
     element_sets, row_masks = instance.element_sets(), instance.row_masks
+    y = []
+    tight = 0
     if prefix is None:
         residuals = [c * cost_unit for c in costs]
-        y = []
+        for j, r in enumerate(residuals):
+            if not r:
+                tight |= 1 << j
     else:
-        residuals = [u * cost_unit + v * cap_unit for u, v in prefix.residuals]
-        y = [u * cost_unit + v * cap_unit for u, v in prefix.y]
-        start = len(y)
+        residuals = [None] * instance.m
+        lines = prefix.residuals
+        for j in prefix.suffix_sets:
+            u, v = lines[j]
+            r = residuals[j] = u * cost_unit + v * cap_unit
+            if not r:
+                tight |= 1 << j
+        start = len(prefix.y)
         element_sets, row_masks = element_sets[start:], row_masks[start:]
         profits = profits[start:]
-    tight = 0
-    for j, r in enumerate(residuals):
-        if not r:
-            tight |= 1 << j
     for sets, p, row in zip(element_sets, profits, row_masks):
         if row & tight:
             y.append(0)
@@ -205,35 +252,47 @@ def _packed_dual_update(instance: Instance, lam: DeltaRational,
                 residuals[j] -= yi
                 if not residuals[j]:
                     tight |= 1 << j
-    return _PackedDual(lam, y, residuals, l_c * l_p * b, l_p * d_den, base)
+    return _PackedDual(lam, y, residuals, l_c * l_p * b, l_p * d_den, base,
+                       prefix, cost_unit, cap_unit)
 
 
-def _prune(instance: Instance, tight, pos_mask: int) -> Cover:
+def _prune(instance: Instance, tight, pos_mask: int) -> tuple[Cover, int]:
     """Reverse delete: scanning tight sets by descending index, keep a set
-    unless a kept one shares an element of positive dual with it."""
+    unless a kept one shares an element of positive dual with it.  Returns
+    the kept cover and the union of its column masks."""
+    col_masks = instance.col_masks
     kept = []
-    union = 0
+    union = blocked = 0  # blocked: the elements of positive dual in the union
     for j in reversed(tight):
-        mask = instance.col_masks[j]
-        if not union & mask & pos_mask:
+        mask = col_masks[j]
+        if not blocked & mask:
             kept.append(j)
             union |= mask
-    return Cover(tuple(reversed(kept)))
+            blocked |= mask & pos_mask
+    return Cover(tuple(reversed(kept))), union
 
 
 def kolen(instance: Instance, lam, prefix: LinePrefix | None = None) -> KolenResult:
     """One run: covers and positive-dual mask computed now, the dual
     decoded when first read.
 
-    With a `prefix`, the run resumes after it (see `LinePrefix`)."""
+    With a `prefix`, the run resumes after it (see `LinePrefix`): a set
+    outside the suffix is tight when its residual line is (0, 0), so only
+    the suffix sets' residuals are scanned for zeros."""
     packed = _packed_dual_update(instance, _multiplier(instance, lam), prefix)
-    tight = tuple(j for j, r in enumerate(packed.residuals) if not r)
-    start, pos_mask = (0, 0) if prefix is None else (len(prefix.y), prefix.positive)
-    for i, yi in enumerate(packed.y[start:], start):
+    residuals = packed.residuals
+    if prefix is None:
+        start, pos_mask = 0, 0
+        tight = tuple(j for j, r in enumerate(residuals) if not r)
+    else:
+        start, pos_mask = len(prefix.y), prefix.positive
+        tight = tuple(sorted([*prefix.outside_tight,
+                              *(j for j in prefix.suffix_sets if not residuals[j])]))
+    for i, yi in enumerate(packed.y, start):
         if yi > 0:
             pos_mask |= 1 << i
-    return KolenResult(_prune(instance, tight, pos_mask), Cover(tight), packed,
-                       pos_mask)
+    pruned, covered = _prune(instance, tight, pos_mask)
+    return KolenResult(pruned, Cover(tight), packed, pos_mask, covered)
 
 
 @dataclass(frozen=True)
@@ -249,7 +308,9 @@ def _exact(value: int, scale: int, delta: int, delta_scale: int) -> DeltaRationa
     return DeltaRational.of_fractions(Fraction(value, scale), Fraction(delta, delta_scale))
 
 
-def audit_optimality(instance: Instance, lam, result: KolenResult) -> OptimalityAudit:
+def audit_optimality(instance: Instance, lam, result: KolenResult, *,
+                     profit_scale: tuple[int, list[int]] | None = None,
+                     cost_scale: tuple[int, list[int]] | None = None) -> OptimalityAudit:
     """Exact re-verification of the prize-collecting optimality certificate.
 
     Clauses, checked in order, first failure reported:
@@ -267,19 +328,25 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
     then one int per element, and every clause is decided by int sums and
     int comparisons; a Fraction is built only to word a failure.  Nothing
     here touches the packed ints or the scaled profits of the kernel it
-    checks.
+    checks.  `profit_scale` and `cost_scale` are `common_scale` of the
+    instance's profits and of its costs, which a caller that checks several
+    runs computes once; they are computed here when not given.  Clause (d)
+    sums each set's duals over `Instance.set_elements()`, the input's index.
     """
     lam = DeltaRational.of(lam)
     dual = result.dual
-    n, m = instance.n, instance.m
+    n = instance.n
     covered = covered_element_mask(instance, result.pruned)
     uncovered = [i for i in range(n) if not covered >> i & 1]
 
-    l_p, profits = common_scale(instance.profits)
+    l_p, profits = profit_scale or common_scale(instance.profits)
+    l_c, costs = cost_scale or common_scale(instance.costs)
     unit = lam.value.denominator * l_p
-    scale, ints = common_scale(chain(instance.costs, (yi.value for yi in dual.y),
-                                     (r.value for r in dual.residuals)), unit)
-    costs, y_value, r_value = ints[:m], ints[m:m + n], ints[m + n:]
+    scale, ints = common_scale(chain((yi.value for yi in dual.y),
+                                     (r.value for r in dual.residuals)), lcm(unit, l_c))
+    factor = scale // l_c
+    costs = [c * factor for c in costs]
+    y_value, r_value = ints[:n], ints[n:]
     cap_unit = lam.value.numerator * (scale // unit)
     cap_value = [cap_unit * p for p in profits]
     unit = lam.delta.denominator * l_p
@@ -315,8 +382,7 @@ def audit_optimality(instance: Instance, lam, result: KolenResult) -> Optimality
                                    f"uncovered element {i} has dual {dual.y[i]} "
                                    f"below cap {cap}")
 
-    for j, mask in enumerate(instance.col_masks):
-        members = bit_indices(mask)
+    for j, members in enumerate(instance.set_elements()):
         fresh = (costs[j] - sum(map(y_value.__getitem__, members)),
                  -sum(map(y_delta.__getitem__, members)))
         if (r_value[j], r_delta[j]) != fresh:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import mul
 
 from .arith import common_scale, fraction_sum
@@ -207,14 +208,16 @@ def solve_dual(instance: Instance, primal: FractionalSolution) -> DualFractional
                           dual_value(instance, primal.y, primal.lam))
 
 
-def mixed_cover_point(instance: Instance, low: Cover,
-                      high: Cover | None = None) -> FractionalSolution:
+def mixed_cover_point(instance: Instance, low: Cover, high: Cover | None = None, *,
+                      profit_scale: tuple[int, list[int]] | None = None
+                      ) -> FractionalSolution:
     """The relaxation point of one cover, or of two covers mixed to cover P.
 
     Two covers get weight a = (cov(high) - P) / (cov(high) - cov(low)) on
     `low` and 1 - a on `high`, so the mixture covers exactly P.  x_j is the
     total weight of the covers that contain set j, and r_i the total weight
-    of the covers that leave element i uncovered.
+    of the covers that leave element i uncovered.  `profit_scale` is
+    `common_scale` of the profits, computed here when not given.
     """
     covers = (low,) if high is None else (low, high)
     masks = [covered_element_mask(instance, cover) for cover in covers]
@@ -222,7 +225,7 @@ def mixed_cover_point(instance: Instance, low: Cover,
     if high is not None:
         # cov(low) and cov(high) as ints over D, so a is
         # (cov_high - P D) / (cov_high - cov_low), with P = t / u.
-        scale, profits = common_scale(instance.profits)
+        scale, profits = profit_scale or common_scale(instance.profits)
         cov_low, cov_high = (sum(map(profits.__getitem__, bit_indices(mask)))
                              for mask in masks)
         t, u = instance.target.numerator, instance.target.denominator
@@ -249,12 +252,16 @@ def mixed_cover_point(instance: Instance, low: Cover,
     return FractionalSolution(tuple(x), tuple(r), value)
 
 
-def is_primal_feasible(instance: Instance, x, r) -> bool:
+def is_primal_feasible(instance: Instance, x, r, *,
+                       profit_scale: tuple[int, list[int]] | None = None) -> bool:
     """Whether (x, r) meets A x + r >= 1, p.r <= p(U) - P and x, r >= 0.
 
     x and r go over one common denominator D, so a row holds when its int
-    sum reaches D; the budget row compares p.r with (p(U) - P) D, profits
-    and target over a denominator of their own.
+    sum, over the row's sets in `Instance.element_sets()`, reaches D.  The
+    budget row compares p.r with (p(U) - P) D, the profits as ints over
+    L_p (`profit_scale`, `common_scale` of the profits, computed here when
+    not given) and both sides times the target's denominator u, so the
+    target t / u joins as t L_p.
     """
     m = instance.m
     if len(x) != m or len(r) != instance.n:
@@ -263,12 +270,12 @@ def is_primal_feasible(instance: Instance, x, r) -> bool:
     if min(ints, default=0) < 0:
         return False
     x, r = ints[:m], ints[m:]
-    for ri, mask in zip(r, instance.row_masks):
-        if ri + sum(map(x.__getitem__, bit_indices(mask))) < scale:
+    for ri, sets in zip(r, instance.element_sets()):
+        if ri + sum(map(x.__getitem__, sets)) < scale:
             return False
-    _, ints = common_scale(chain(instance.profits, (instance.target,)))
-    profits, target = ints[:-1], ints[-1]
-    return sum(map(mul, profits, r)) <= (sum(profits) - target) * scale
+    l_p, profits = profit_scale or common_scale(instance.profits)
+    t, u = instance.target.numerator, instance.target.denominator
+    return sum(map(mul, profits, r)) * u <= (sum(profits) * u - t * l_p) * scale
 
 
 def dual_value(instance: Instance, y, lam) -> Fraction:
@@ -277,22 +284,27 @@ def dual_value(instance: Instance, y, lam) -> Fraction:
     return fraction_sum(filter(None, y)) - budget * lam
 
 
-def is_dual_feasible(instance: Instance, y, lam) -> bool:
+def is_dual_feasible(instance: Instance, y, lam, *,
+                     profit_scale: tuple[int, list[int]] | None = None,
+                     cost_scale: tuple[int, list[int]] | None = None) -> bool:
     """Whether (y, lam) meets A^T y <= c, y <= lam p and y, lam >= 0.
 
     Costs and y go over one common denominator, a multiple of the one of
-    lam * p, so each cap is one int per element and every clause an int
-    comparison.
+    lam * p and of the costs' L_c, so each cap is one int per element and
+    every clause an int comparison; each set's duals are summed over
+    `Instance.set_elements()`.  `profit_scale` and `cost_scale` are
+    `common_scale` of the profits and of the costs, computed here when not
+    given.
     """
-    m = instance.m
-    l_p, profits = common_scale(instance.profits)
+    l_p, profits = profit_scale or common_scale(instance.profits)
+    l_c, costs = cost_scale or common_scale(instance.costs)
     unit = lam.denominator * l_p
-    scale, ints = common_scale(chain(instance.costs, y), unit)
-    costs, y = ints[:m], ints[m:]
+    scale, y = common_scale(y, lcm(unit, l_c))
     if lam < 0 or min(y, default=0) < 0:
         return False
-    for c, mask in zip(costs, instance.col_masks):
-        if sum(map(y.__getitem__, bit_indices(mask))) > c:
+    factor = scale // l_c
+    for c, members in zip(costs, instance.set_elements()):
+        if sum(map(y.__getitem__, members)) > c * factor:
             return False
     cap_unit = lam.numerator * (scale // unit)
     return all(yi <= cap_unit * p for yi, p in zip(y, profits))

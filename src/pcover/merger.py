@@ -78,8 +78,9 @@ def build_merger_graph(instance: Instance,
     (`KolenResult.positive`).  Set j1 dominates j2 when j1 > j2, they lie
     on opposite sides, and they share an element of positive dual in the
     run of j1's side.  Each vertex's dominators are read off one OR of the
-    row masks of its positive-dual elements, so the build takes O(nnz)
-    mask operations.
+    row masks of its positive-dual elements, found in the vertex's
+    `Instance.set_elements()`, and only the lowest two dominators are
+    extracted, so the build takes O(nnz) mask operations.
     Every edge decreases, so one ascending scan builds each subtree mask
     from its children's, which come first.
 
@@ -95,20 +96,25 @@ def build_merger_graph(instance: Instance,
     edges = []
     parent: dict[int, int] = {}
     conflicts = []
+    members, row_masks = instance.set_elements(), instance.row_masks
     for j2 in vertices:
         if plus_only >> j2 & 1:
             side, pos = minus_only, positive_minus
         else:
             side, pos = plus_only, positive
         sets = 0
-        for i in bit_indices(instance.col_masks[j2] & pos):
-            sets |= instance.row_masks[i]
-        dominators = bit_indices(sets & side & -1 << (j2 + 1))  # above j2
-        if len(dominators) > 1:
-            conflicts.append((dominators[1], j2, dominators[0]))
-        elif dominators:
-            parent[j2] = dominators[0]
-            edges.append((dominators[0], j2))
+        for i in members[j2]:
+            if pos >> i & 1:
+                sets |= row_masks[i]
+        dominators = sets & side & -1 << (j2 + 1)  # above j2
+        if dominators:
+            low = dominators & -dominators
+            first, rest = low.bit_length() - 1, dominators ^ low
+            if rest:
+                conflicts.append(((rest & -rest).bit_length() - 1, j2, first))
+            else:
+                parent[j2] = first
+                edges.append((first, j2))
     if conflicts:
         # The conflict an ascending scan over (dominator, vertex) meets first.
         second, j2, first = min(conflicts)

@@ -4,10 +4,16 @@ An instance is an n x m 0/1 element-set incidence matrix together with
 nonnegative rational set costs, element profits, and a coverage target P.
 The matrix is stored once, as one bitmask per row with (n, m) carried
 explicitly: `make_instance` (a matrix) and `checked_instance` (row masks,
-as the parser builds them) are the boundaries, and permutations and
-submatrices map masks in time linear in the number of ones.  All objects
-are immutable after construction; every operation here is a pure function
-of its inputs.
+as the parser builds them) are the boundaries.  Beside the masks every
+instance keeps one sparse index, built once: the ascending set indices of
+each element (`element_sets()`), read off each row mask in the loop that
+builds the column masks, and, on first use, the ascending element indices
+of each set (`set_elements()`), built from the first with no bit walk.
+Every O(nnz) walk over the fixed matrix reads the index; `bit_indices`
+serves masks that change (covers, subtrees, coverage).  Permutations and
+submatrices map the index and build the masks from it, in time linear in
+the number of ones.  All objects are immutable after construction; every
+operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -53,23 +59,6 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def transpose_masks(row_masks: Sequence[int], m: int) -> tuple[int, ...]:
-    """Per-column bitmasks over rows (bit i of mask j set iff bit j of row
-    mask i is), in time linear in the number of ones."""
-    cols = [0] * m
-    for i, mask in enumerate(row_masks):
-        bit = 1 << i
-        for j in bit_indices(mask):
-            cols[j] |= bit
-    return tuple(cols)
-
-
-def _move_bits(mask: int, bits: Sequence[int]) -> int:
-    """Union of `bits[j]` over the set bits j of `mask`; each bits[j] is 0
-    or a bit no other j has, so the union is the sum."""
-    return sum(map(bits.__getitem__, bit_indices(mask)))
-
-
 def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(L, values times L as ints), L the lcm of the denominators."""
     scale = lcm(*(v.denominator for v in values))
@@ -81,35 +70,64 @@ class Instance:
 
     The matrix is held once, as `row_masks` (bit j of mask i set iff
     element i belongs to set j); n = len(row_masks) and m = len(costs).
-    `col_masks` is derived from it.  Use `make_instance` or
+    One walk of the row masks builds the element index, in which equal
+    rows share one tuple, and `col_masks` from it.  Use `make_instance` or
     `checked_instance` for validated construction; the bare constructor
-    trusts its arguments (used internally for permutations/reductions).
+    trusts its arguments (used internally for reductions).
     """
 
     __slots__ = ("n", "m", "row_masks", "col_masks", "costs", "profits",
-                 "target", "_gamma_free", "_element_sets",
+                 "target", "_gamma_free", "_element_sets", "_set_elements",
                  "_scaled_profits", "_scaled_costs")
 
     def __init__(self, row_masks: tuple[int, ...], costs: tuple[Fraction, ...],
                  profits: tuple[Fraction, ...], target: Fraction):
+        self._build(row_masks, map(bit_indices, row_masks), costs, profits, target)
+
+    @classmethod
+    def _indexed(cls, row_masks, element_sets, costs, profits, target) -> "Instance":
+        """An instance whose index is already known (a mapped one): its
+        masks are not walked again."""
+        instance = cls.__new__(cls)
+        instance._build(row_masks, element_sets, costs, profits, target)
+        return instance
+
+    def _build(self, row_masks, element_sets, costs, profits, target) -> None:
         self.row_masks = row_masks
         self.n = len(row_masks)
         self.m = len(costs)
         self.costs = costs
         self.profits = profits
         self.target = target
-        self.col_masks = transpose_masks(row_masks, self.m)
+        cols = [0] * self.m
+        index = []
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal rows, one tuple
+        for i, sets in enumerate(element_sets):
+            bit = 1 << i
+            for j in sets:
+                cols[j] |= bit
+            index.append(shared.setdefault(sets, sets))
+        self.col_masks = tuple(cols)
+        self._element_sets = tuple(index)
+        self._set_elements: tuple[tuple[int, ...], ...] | None = None
         self._gamma_free: bool | None = None
-        self._element_sets: tuple[tuple[int, ...], ...] | None = None
         self._scaled_profits: tuple[int, tuple[int, ...]] | None = None
         self._scaled_costs: tuple[int, tuple[int, ...]] | None = None
 
     def element_sets(self) -> tuple[tuple[int, ...], ...]:
-        """Per element, the ascending indices of the sets containing it;
-        built from `row_masks` on first use and then kept."""
-        if self._element_sets is None:
-            self._element_sets = tuple(map(bit_indices, self.row_masks))
+        """Per element, the ascending indices of the sets containing it."""
         return self._element_sets
+
+    def set_elements(self) -> tuple[tuple[int, ...], ...]:
+        """Per set, the ascending indices of its elements; built from
+        `element_sets()` on first use and then kept."""
+        if self._set_elements is None:
+            members = [[] for _ in range(self.m)]
+            for i, sets in enumerate(self._element_sets):
+                for j in sets:
+                    members[j].append(i)
+            self._set_elements = tuple(map(tuple, members))
+        return self._set_elements
 
     def scaled_profits(self) -> tuple[int, tuple[int, ...]]:
         """(L_p, profits times L_p as ints), L_p the lcm of the profit
@@ -181,10 +199,10 @@ def checked_instance(row_masks: Sequence[int], costs: Sequence,
     cost_t = tuple(as_rational(c) for c in costs)
     profit_t = tuple(as_rational(p) for p in profits)
     for j, c in enumerate(cost_t):
-        if c < 0:
+        if c.numerator < 0:  # a Fraction's sign is its numerator's
             raise InputError(f"negative cost {c} at set {j}")
     for i, p in enumerate(profit_t):
-        if p < 0:
+        if p.numerator < 0:
             raise InputError(f"negative profit {p} at element {i}")
     target_r = as_rational(target)
     total = fraction_sum(profit_t)
@@ -303,34 +321,51 @@ class PermutationPair:
                 out[self.row_perm[i]][self.col_perm[j]] = v
         return tuple(tuple(r) for r in out)
 
-    def apply_to_masks(self, row_masks: Sequence[int]) -> tuple[int, ...]:
-        """`apply_to_matrix` on row bitmasks, in time linear in the ones."""
-        col_bits = [1 << k for k in self.col_perm]
-        out = [0] * len(row_masks)
-        for i, mask in enumerate(row_masks):
-            out[self.row_perm[i]] = _move_bits(mask, col_bits)
-        return tuple(out)
+
+def permuted_index(instance: Instance, perm: PermutationPair):
+    """(row masks, element index) of the instance's matrix reordered by
+    `perm`.  The sets are read off `set_elements()` in their new order, so
+    each row's set indices come out ascending with no sort."""
+    order = [0] * instance.m  # new position -> original set
+    for j, k in enumerate(perm.col_perm):
+        order[k] = j
+    row_perm, members = perm.row_perm, instance.set_elements()
+    index: list[list[int]] = [[] for _ in range(instance.n)]
+    for k, j in enumerate(order):
+        for i in members[j]:
+            index[row_perm[i]].append(k)
+    bits = [1 << k for k in range(instance.m)]
+    return (tuple(sum(map(bits.__getitem__, sets)) for sets in index),
+            tuple(map(tuple, index)))
 
 
 def permute_instance(instance: Instance, perm: PermutationPair) -> Instance:
-    """Reorder rows and columns; costs and profits follow their indices."""
+    """Reorder rows and columns; costs and profits follow their indices.
+    The matrix comes from `permuted_index`, with no mask walked."""
     back = perm.inverse()
-    return Instance(perm.apply_to_masks(instance.row_masks),
-                    tuple(instance.costs[j] for j in back.col_perm),
-                    tuple(instance.profits[i] for i in back.row_perm),
-                    instance.target)
+    return Instance._indexed(*permuted_index(instance, perm),
+                             tuple(instance.costs[j] for j in back.col_perm),
+                             tuple(instance.profits[i] for i in back.row_perm),
+                             instance.target)
 
 
 def sub_instance(instance: Instance, keep_rows: Sequence[int],
                  keep_cols: Sequence[int], target) -> Instance:
-    """Row/column submatrix with a fresh target; indices keep their order."""
-    col_bits = [0] * instance.m
+    """Row/column submatrix with a fresh target; indices keep their order.
+
+    The kept rows' index is mapped to the kept columns' positions, and the
+    masks are built from it."""
+    position: list[int | None] = [None] * instance.m
     for k, j in enumerate(keep_cols):
-        col_bits[j] = 1 << k
-    masks = tuple(_move_bits(instance.row_masks[i], col_bits) for i in keep_rows)
+        position[j] = k
+    element_sets = instance.element_sets()
+    index = [tuple(sorted(k for k in map(position.__getitem__, element_sets[i])
+                          if k is not None))
+             for i in keep_rows]
+    masks = tuple(sum(1 << k for k in sets) for sets in index)
     costs = tuple(instance.costs[j] for j in keep_cols)
     profits = tuple(instance.profits[i] for i in keep_rows)
-    return Instance(masks, costs, profits, as_rational(target))
+    return Instance._indexed(masks, index, costs, profits, as_rational(target))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def to_greedy_form(instance: Instance):
     gamma-free is returned as it is, with the identity permutation.  Raises
     InputError when the matrix is not totally balanced.
     """
-    sgf = standard_greedy_form(instance.row_masks, instance.m)
+    sgf = standard_greedy_form(instance)
     if not sgf.ok:
         raise InputError("matrix is not totally balanced: no greedy standard "
                          f"form exists (gamma pattern at {sgf.witness})")
@@ -118,26 +118,29 @@ def _single_blocks(instance: Instance) -> bool:
 
 
 def lemma_witness_check(instance: Instance, graph: MergerGraph,
-                        below: KolenResult, above: KolenResult) -> bool:
+                        below: KolenResult, above: KolenResult, *,
+                        profit_scale: tuple[int, list[int]] | None = None) -> bool:
     """Cross-solution witness for under-capped elements.
 
     Every element whose dual value sits strictly below its penalty cap
     must see a set from each pruned cover that are equal or joined by a
     merger edge.  The duals and caps are compared as ints over a common
-    denominator from `arith.common_scale`.
+    denominator from `arith.common_scale`; `profit_scale` is `common_scale`
+    of the profits, computed here when not given.
     """
     lam = above.dual.lam.value
-    l_p, profits = common_scale(instance.profits)
+    l_p, profits = profit_scale or common_scale(instance.profits)
     unit = lam.denominator * l_p
     scale, y = common_scale([yi.value for yi in above.dual.y], unit)
     cap_unit = lam.numerator * (scale // unit)
     edge_set = set(graph.edges)
     pm = below.pruned.as_set()
     pp = above.pruned.as_set()
+    element_sets = instance.element_sets()
     for i, (yi, p) in enumerate(zip(y, profits)):
         if yi >= cap_unit * p:
             continue
-        sets_i = instance.element_sets()[i]
+        sets_i = element_sets[i]
         plus_hits = [j for j in sets_i if j in pp]
         minus_hits = [j for j in sets_i if j in pm]
         ok = False
@@ -167,7 +170,9 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
     On a totally balanced matrix the Lagrangian bound equals the LP
     optimum, so the threshold dual (y, lambda*) and the bracketing covers
     mixed to cover exactly P are an optimal pair; `strong_duality` checks
-    both sides' feasibility and their equal objectives.
+    both sides' feasibility and their equal objectives.  The checker puts
+    the greedy-form instance's profits and costs over their common scales
+    (`arith.common_scale`) once, and every audit below reads them.
 
     Raises InputError when the matrix is not totally balanced,
     InfeasibleError when the target is unattainable, and AuditError if any
@@ -182,11 +187,13 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
 
     audits: dict[str, bool] = {}
     outcomes = {}  # audits that report a failed clause and its detail
+    profit_scale, cost_scale = common_scale(work.profits), common_scale(work.costs)
+    scales = {"profit_scale": profit_scale, "cost_scale": cost_scale}
     y = [yi.value for yi in (thr.exact_hit or thr.at_star).dual.y]
     dl = dual_value(work, y, thr.lambda_star)
     if thr.exact_hit is not None:
         run = thr.exact_hit
-        outcomes["dual_optimality"] = audit_optimality(work, run.dual.lam, run)
+        outcomes["dual_optimality"] = audit_optimality(work, run.dual.lam, run, **scales)
         final_work = run.pruned
         audits["exact_hit_identity"] = cover_cost(work, final_work) == dl
         splits = 0
@@ -194,14 +201,17 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
     else:
         low_run, high_run = thr.merge_pair(work.target)
         perturbed = thr.below if low_run is thr.below else thr.at_or_above
-        outcomes["dual_optimality_low"] = audit_optimality(work, low_run.dual.lam, low_run)
-        outcomes["dual_optimality_high"] = audit_optimality(work, high_run.dual.lam, high_run)
+        outcomes["dual_optimality_low"] = audit_optimality(work, low_run.dual.lam,
+                                                           low_run, **scales)
+        outcomes["dual_optimality_high"] = audit_optimality(work, high_run.dual.lam,
+                                                            high_run, **scales)
         audits["tight_inclusion"] = perturbed.tight.as_set() <= thr.at_star.tight.as_set()
         audits["value_parts_match"] = all(
             yl.value == yh.value for yl, yh in zip(low_run.dual.y, high_run.dual.y))
         graph = build_merger_graph(work, low_run.pruned, high_run.pruned,
                                    low_run.positive, high_run.positive)
-        audits["coverage_witness"] = lemma_witness_check(work, graph, low_run, high_run)
+        audits["coverage_witness"] = lemma_witness_check(work, graph, low_run, high_run,
+                                                         profit_scale=profit_scale)
         final_work, trace = merge(graph, low_run.pruned, high_run.pruned, work)
         outcomes["merge_bound"] = audit_merge_bound(trace, work, dl)
         splits = len(trace.splits)
@@ -215,10 +225,11 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
     covered = covered_profit(instance, cover)
     audits["feasible"] = covered >= instance.target
 
-    primal = mixed_cover_point(work, *lp_covers)
-    audits["strong_duality"] = (is_primal_feasible(work, primal.x, primal.r)
-                                and is_dual_feasible(work, y, thr.lambda_star)
-                                and primal.value == dl)
+    primal = mixed_cover_point(work, *lp_covers, profit_scale=profit_scale)
+    audits["strong_duality"] = (
+        is_primal_feasible(work, primal.x, primal.r, profit_scale=profit_scale)
+        and is_dual_feasible(work, y, thr.lambda_star, **scales)
+        and primal.value == dl)
 
     single_block = _single_blocks(instance) or _single_blocks(work)
     if single_block:

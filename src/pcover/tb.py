@@ -12,9 +12,14 @@ so that no ordered pair of rows i1 < i2 and columns j1 < j2 induces the
 An ordering with this property is called greedy standard form here, and a
 matrix already free of the pattern is called gamma-free.
 
-Every function here reads the matrix as its row bitmasks (bit j of mask i
-is a[i][j], as in `Instance.row_masks`) and, where the column count
-matters, m; `model.row_bitmasks` converts a 0/1 matrix.
+Every function here reads the matrix of an `Instance`: its row bitmasks
+(bit j of mask i is a[i][j]) and its sparse index, the ascending set
+indices of each element (`element_sets()`) and the ascending element
+indices of each set (`set_elements()`).  The O(nnz) walks read the index
+and extract no bit from a mask.  `gamma_witness` takes the row masks and
+the element index themselves, so that `standard_greedy_form` can run it
+on the reordered matrix that `model.permuted_index` maps out without
+building an instance.
 
 The reorder rests on one theorem: a matrix is totally balanced if and only
 if its doubly lexical ordering is gamma-free (Hoffman, Kolen & Sakarovitch,
@@ -39,7 +44,8 @@ Phi takes finitely many values.
 
 `standard_greedy_form` keeps an already gamma-free matrix in its own
 order, and otherwise certifies the doubly lexical ordering with
-`gamma_witness`, a scan of consecutive rows within each column.  By the
+`gamma_witness`, a scan of consecutive rows within each column, run on
+the index mapped through the ordering.  By the
 theorem, a pattern that survives is a definite "not totally balanced",
 and it is reported as the witness.
 """
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import check_guard
-from .model import PermutationPair, bit_indices, transpose_masks
+from .model import Instance, PermutationPair, permuted_index
 
 TB_CHECK_LIMIT = 12
 
@@ -71,8 +77,10 @@ class GammaWitness:
         return f"rows {list(self.rows)}, columns {list(self.cols)}"
 
 
-def gamma_witness(row_masks) -> GammaWitness | None:
-    """An occurrence of the pattern, if any, in O(nnz) mask operations.
+def gamma_witness(row_masks, element_sets) -> GammaWitness | None:
+    """An occurrence of the pattern, if any, in O(nnz) mask operations, for
+    the matrix with these row masks and their ascending set indices (as
+    `Instance.row_masks` and `element_sets()`).
 
     A matrix is gamma-free iff in every column j, each row of the column
     has no 1 above j that the column's next row lacks: that containment
@@ -83,9 +91,9 @@ def gamma_witness(row_masks) -> GammaWitness | None:
     """
     width = max((mask.bit_length() for mask in row_masks), default=0)
     last_row: list[int | None] = [None] * width  # per column, the last row seen
-    for i2, mask in enumerate(row_masks):
+    for i2, (mask, sets) in enumerate(zip(row_masks, element_sets)):
         missing = ~mask
-        for j1 in bit_indices(mask):
+        for j1 in sets:
             i1 = last_row[j1]
             if i1 is not None:
                 rest = (row_masks[i1] & missing) >> (j1 + 1)
@@ -96,11 +104,11 @@ def gamma_witness(row_masks) -> GammaWitness | None:
     return None
 
 
-def is_gamma_free(row_masks) -> bool:
-    return gamma_witness(row_masks) is None
+def is_gamma_free(instance: Instance) -> bool:
+    return gamma_witness(instance.row_masks, instance.element_sets()) is None
 
 
-def is_totally_balanced(row_masks, m: int) -> bool:
+def is_totally_balanced(instance: Instance) -> bool:
     """Definitional check by direct submatrix search.
 
     Searches all square submatrices of order >= 3 for one with every row
@@ -108,11 +116,11 @@ def is_totally_balanced(row_masks, m: int) -> bool:
     guarded to dimensions <= `TB_CHECK_LIMIT` and meant as a desk-scale
     oracle.
     """
-    n = len(row_masks)
+    n, m = instance.n, instance.m
+    row_masks, col_masks = instance.row_masks, instance.col_masks
     check_guard(max(n, m) <= TB_CHECK_LIMIT,
                 f"totally-balanced check limited to "
                 f"{TB_CHECK_LIMIT}x{TB_CHECK_LIMIT}, got {n}x{m}")
-    col_masks = transpose_masks(row_masks, m)
     for k in range(3, min(n, m) + 1):
         for row_subset in combinations(range(n), k):
             rmask = 0
@@ -162,13 +170,12 @@ def _sorted_by_bits(order: list[int], support, other_order: list[int]) -> list[i
     return sorted(order, key=key.__getitem__)
 
 
-def doubly_lexical_order(row_masks, m: int) -> tuple[list[int], list[int]]:
+def doubly_lexical_order(instance: Instance) -> tuple[list[int], list[int]]:
     """Row and column orders (new position -> original index) under which
     both rows and columns ascend; see the module docstring for why the
     alternating sorts terminate."""
-    cols_of = [bit_indices(mask) for mask in row_masks]
-    rows_of = [bit_indices(mask) for mask in transpose_masks(row_masks, m)]
-    row_order, col_order = list(range(len(row_masks))), list(range(m))
+    cols_of, rows_of = instance.element_sets(), instance.set_elements()
+    row_order, col_order = list(range(instance.n)), list(range(instance.m))
     while True:
         row_order = _sorted_by_bits(row_order, cols_of, col_order)
         new_cols = _sorted_by_bits(col_order, rows_of, row_order)
@@ -177,21 +184,22 @@ def doubly_lexical_order(row_masks, m: int) -> tuple[list[int], list[int]]:
         col_order = new_cols
 
 
-def standard_greedy_form(row_masks, m: int) -> SgfResult:
-    """Reorder the matrix with these row bitmasks over m columns into
-    greedy standard form, or prove that none exists.
+def standard_greedy_form(instance: Instance) -> SgfResult:
+    """Reorder the instance's matrix into greedy standard form, or prove
+    that none exists.
 
     Deterministic: a gamma-free matrix keeps the identity ordering;
     otherwise the doubly lexical ordering is certified with
-    `gamma_witness`, and a surviving pattern is returned as the witness.
+    `gamma_witness` on the index mapped through it, and a surviving
+    pattern is returned as the witness.
     """
-    if gamma_witness(row_masks) is None:
-        return SgfResult(True, PermutationPair.identity(len(row_masks), m),
+    if is_gamma_free(instance):
+        return SgfResult(True, PermutationPair.identity(instance.n, instance.m),
                          "identity")
 
-    row_order, col_order = doubly_lexical_order(row_masks, m)
+    row_order, col_order = doubly_lexical_order(instance)
     perm = PermutationPair(tuple(row_order), tuple(col_order)).inverse()
-    found = gamma_witness(perm.apply_to_masks(row_masks))
+    found = gamma_witness(*permuted_index(instance, perm))
     if found is None:
         return SgfResult(True, perm, "doubly-lexical")
     witness = GammaWitness(tuple(row_order[i] for i in found.rows),

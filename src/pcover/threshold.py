@@ -35,9 +35,14 @@ Each round's probes resume from the agreed lines: every probe multiplier
 is a breakpoint strictly inside the interval, perturbed or not, so the
 agreed duals and every set's residual at it are the lines' values, and
 `pcover.kolen` runs the packed-int update only from the split element
-on (`kolen.LinePrefix`).  Probe coverage is an int sum of the scaled
-profits over the covered element mask (`model.ScaledCoverage`); only the
-runs that the result keeps have their duals decoded.
+on (`kolen.LinePrefix`).  The pass hands over, once per round, the sets
+that meet the suffix (read off each set's last element) and the other
+sets whose residual line is zero, so a probe evaluates, updates and scans
+only the suffix sets' residuals.  Probe coverage is an int sum of the
+scaled profits (`model.ScaledCoverage`) over the element mask that the
+run's prune built (`KolenResult.covered`); only the runs that the result
+keeps have their duals decoded, and each decode evaluates the prefix's
+lines and unpacks each distinct value once.
 
 Any materialized run that covers exactly P short-circuits the search: by
 the exactness certificate such a cover is optimal for the partial problem.
@@ -164,10 +169,11 @@ class _SymbolicPass:
     agreed dual.  Different lines mean the envelope changes inside the
     interval: `advance` then returns (breakpoints, prefix), the
     breakpoints of that element's candidate lines and the agreed lines as
-    a `kolen.LinePrefix`.  The search only ever shrinks the interval, and
-    lines that agree on an interval agree on every subinterval, so agreed
-    elements are never run again and `lower_envelope_breakpoints` runs
-    once per round.
+    a `kolen.LinePrefix`, with the sets that meet the split element or a
+    later one and the other sets whose residual line is (0, 0).  The
+    search only ever shrinks the interval, and lines that agree on an
+    interval agree on every subinterval, so agreed elements are never run
+    again and `lower_envelope_breakpoints` runs once per round.
     """
 
     def __init__(self, instance: Instance):
@@ -177,6 +183,11 @@ class _SymbolicPass:
         self.residuals = [(c, 0) for c in costs]
         self.lines: list[tuple[int, int]] = []
         self.positive = 0  # the agreed elements whose line is not zero
+        self.ends = [mask.bit_length() for mask in instance.col_masks]  # last element + 1
+        # Split elements never move back, so a set outside one round's
+        # suffix stays outside, its residual line final.
+        self.suffix_sets = list(range(instance.m))
+        self.outside_tight: list[int] = []
 
     def advance(self, lo: Fraction, hi: Fraction):
         residuals, lines, profits = self.residuals, self.lines, self.profits
@@ -207,7 +218,15 @@ class _SymbolicPass:
                     raise InternalInvariantError(
                         f"element {i}: distinct lowest lines at the two ends "
                         f"without an envelope breakpoint")
-                return bps, LinePrefix(tuple(lines), tuple(residuals), self.positive)
+                ends, suffix = self.ends, []
+                for j in self.suffix_sets:
+                    if ends[j] > i:
+                        suffix.append(j)
+                    elif residuals[j] == (0, 0):
+                        self.outside_tight.append(j)
+                self.suffix_sets = suffix
+                return bps, LinePrefix(tuple(lines), tuple(residuals), self.positive,
+                                       tuple(suffix), tuple(self.outside_tight))
             lines.append(entry)
             ya, yb = entry
             if ya or yb:
@@ -228,7 +247,8 @@ class _Prober:
     resumes.
 
     Coverage is measured in units of 1/L_p, as an int sum of
-    `Instance.scaled_profits()`; `goal` is the target in the same units.
+    `Instance.scaled_profits()` over the run's `KolenResult.covered`, the
+    union its prune built; `goal` is the target in the same units.
     """
 
     def __init__(self, instance: Instance):
@@ -251,11 +271,8 @@ class _Prober:
             self.calls += 1
         return self.cache[key]
 
-    def covered(self, cover: Cover) -> int:
-        return self.scaled_coverage(covered_element_mask(self.instance, cover))
-
     def coverage(self, lam: Fraction, side: int) -> int:
-        return self.covered(self.run(lam, side).pruned)
+        return self.scaled_coverage(self.run(lam, side).covered)
 
 
 def _trivial_result(instance: Instance, calls: int) -> ThresholdResult:
@@ -264,7 +281,8 @@ def _trivial_result(instance: Instance, calls: int) -> ThresholdResult:
     zero = DeltaRational(0)
     dual = DualSolution(tuple(zero for _ in range(instance.n)), zero,
                         tuple(DeltaRational(c) for c in instance.costs))
-    hit = KolenResult(pruned=EMPTY_COVER, tight=EMPTY_COVER, dual=dual, positive=0)
+    hit = KolenResult(pruned=EMPTY_COVER, tight=EMPTY_COVER, dual=dual, positive=0,
+                      covered=0)
     return ThresholdResult(Fraction(0), None, None, hit, calls)
 
 
@@ -285,7 +303,8 @@ def find_threshold(instance: Instance) -> ThresholdResult:
     goal = prober.goal
 
     free_sets = Cover.of(j for j, c in enumerate(instance.costs) if c == 0)
-    if free_sets.sets and prober.covered(free_sets) >= goal:
+    if free_sets.sets and prober.scaled_coverage(
+            covered_element_mask(instance, free_sets)) >= goal:
         # Zero-cost sets already reach the target; the lambda = 0 run
         # returns them all (no dual is positive, nothing dominates).
         if prober.coverage(Fraction(0), 0) < goal:

@@ -4,12 +4,15 @@
 DeltaRational values, one comparison and one subtraction at a time, and
 `reference_positive_mask` reads the elements of positive dual off them.
 `reference_dual_lines` is the symbolic dual pass on Fraction lines that
-restarts from element 0 on every call.  `reference_audit_optimality` is
+restarts from element 0 on every call.  `reference_decode` unpacks a
+packed run value by value, with no table of distinct values, after
+evaluating its prefix's lines one by one.  `reference_audit_optimality` is
 the optimality audit on DeltaRational values, every cap and residual
 rebuilt where it is used.  `reference_prize_collecting_value` adds one
 DeltaRational per uncovered element.  The tests referee the packed-int
 kernel, the resumed int pass, the audit and the prize-collecting value
-against them; nothing in `src` imports this module.
+against them; `with_pruned` swaps a run's pruned cover for tests that
+tamper with it.  Nothing in `src` imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from pcover.arith import DeltaRational
 from pcover.errors import InternalInvariantError
-from pcover.kolen import OptimalityAudit
+from pcover.kolen import DualSolution, KolenResult, OptimalityAudit
 from pcover.model import Cover, bit_indices, covered_element_mask
 
 from dense import rows_of
@@ -102,6 +105,28 @@ def reference_dual_lines(instance, lo, hi, envelope):
     return ("agree", tuple(lines))
 
 
+def reference_decode(packed):
+    """The DualSolution of a packed kernel run, each value unpacked on its
+    own: the prefix's duals and the residuals the run left unevaluated
+    come from the prefix's lines at the run's units."""
+    y, residuals = list(packed.y), list(packed.residuals)
+    prefix = packed.prefix
+    if prefix is not None:
+        y = [a * packed.cost_unit + b * packed.cap_unit for a, b in prefix.y] + y
+        for j, (a, b) in enumerate(prefix.residuals):
+            if residuals[j] is None:
+                residuals[j] = a * packed.cost_unit + b * packed.cap_unit
+
+    def unpack(x):
+        value, delta = divmod(x + packed.base // 2, packed.base)
+        delta -= packed.base // 2
+        return DeltaRational(Fraction(value, packed.value_scale),
+                             Fraction(delta, packed.delta_scale))
+
+    return DualSolution(tuple(unpack(x) for x in y), packed.lam,
+                        tuple(unpack(x) for x in residuals))
+
+
 def reference_audit_optimality(instance, lam, result):
     """The optimality audit of `pcover.kolen`, clause by clause on
     DeltaRationals: same clause order, letters and detail strings."""
@@ -164,3 +189,10 @@ def reference_prize_collecting_value(instance, lam, result):
         if not (covered >> i & 1):
             value = value + lam * instance.profits[i]
     return value
+
+
+def with_pruned(instance, run, pruned):
+    """The run with another pruned cover and the element mask it covers,
+    for tests that tamper with a run."""
+    return KolenResult(pruned, run.tight, run.dual, run.positive,
+                       covered_element_mask(instance, pruned))

@@ -26,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pcover import cli, generators, pipeline  # noqa: E402
 from pcover.formats import render_payload  # noqa: E402
 from pcover.model import PermutationPair, permute_instance  # noqa: E402
+from pcover.threshold import find_threshold  # noqa: E402
 
 BLACKBOX_VARIANTS = (("general", 1), ("general", Fraction(3, 2)),
                      ("general", 2), ("tu", 1))
@@ -53,14 +54,40 @@ def corpus():
         yield render_payload(pipeline.audit_corpus_entry(seed))
 
 
-def gap():
+def _gap_inputs():
+    """Gap q = 1..4, canonical and under Lcg shuffles 1..5."""
     for q in range(1, 5):
         base = generators.gen_gap_family(q).instance
-        yield _solve_payload(base)
+        yield base
         for seed in range(1, 6):
             rng = generators.Lcg(seed)
             perm = PermutationPair(_shuffle(base.n, rng), _shuffle(base.m, rng))
-            yield _solve_payload(permute_instance(base, perm))
+            yield permute_instance(base, perm)
+
+
+def gap():
+    for instance in _gap_inputs():
+        yield _solve_payload(instance)
+
+
+def _threshold_text(instance) -> str:
+    """The search's multiplier, call count, interval and agreed lines, and
+    the decoded duals of the runs it keeps."""
+    thr = find_threshold(pipeline.to_greedy_form(instance)[0])
+    parts = [f"{thr.lambda_star} {thr.kolen_calls} {thr.interval} {thr.agreed_lines}"]
+    for name in ("exact_hit", "below", "at_or_above", "at_star"):
+        run = getattr(thr, name)
+        if run is not None:
+            parts.append(f"{name} {run.dual.lam} {list(map(str, run.dual.y))} "
+                         f"{list(map(str, run.dual.residuals))}")
+    return "\n".join(parts) + "\n"
+
+
+def threshold():
+    for seed in range(1, 601):
+        yield _threshold_text(generators.corpus_instance(seed))
+    for instance in _gap_inputs():
+        yield _threshold_text(instance)
 
 
 def multicut():
@@ -140,8 +167,8 @@ def generate():
                 path.unlink()
 
 
-FAMILIES = (corpus, gap, multicut, pathhit, rects, paths, absorb, blackbox,
-            equitable, generate)
+FAMILIES = (corpus, gap, threshold, multicut, pathhit, rects, paths, absorb,
+            blackbox, equitable, generate)
 
 
 def main() -> int:

@@ -14,12 +14,13 @@ from fractions import Fraction as F
 import pytest
 
 from cli_child import run_cli
+from dense import masks_instance
 from pcover.generators import (gen_gap_family, gen_random_rectangles,
                                gen_random_tree_instance, reduce_multicut,
                                reduce_rectangle_stabbing)
 from pcover.lp import dual_value, is_dual_feasible, solve_dual, solve_lp
-from pcover.model import (Cover, cover_cost, covered_profit, make_instance,
-                          permute_instance, row_bitmasks)
+from pcover.model import (Cover, cover_cost, covered_profit, permute_instance,
+                          row_bitmasks)
 from pcover.pipeline import (absorb_additive_error, audit_corpus_entry,
                              brute_force_partial, simulate_blackbox_lb,
                              solve_rho_separable)
@@ -184,15 +185,14 @@ def test_criterion_9_reordering_cross_validation():
     for bits in range(1 << 16):
         rows = tuple(tuple((bits >> (4 * i + j)) & 1 for j in range(4))
                      for i in range(4))
-        masks = row_bitmasks(rows)
-        sgf = standard_greedy_form(masks, 4)
-        tb = is_totally_balanced(masks, 4)
+        matrix = masks_instance(row_bitmasks(rows), 4)
+        sgf = standard_greedy_form(matrix)
+        tb = is_totally_balanced(matrix)
         assert sgf.ok == tb, f"disagreement on matrix {rows}"
         if sgf.ok:
             tb_count += 1
-            permuted = permute_instance(make_instance(rows, [0] * 4, [0] * 4, 0),
-                                        sgf.perm)
-            assert is_gamma_free(permuted.row_masks), f"bad certificate for {rows}"
+            permuted = permute_instance(matrix, sgf.perm)
+            assert is_gamma_free(permuted), f"bad certificate for {rows}"
     elapsed = time.perf_counter() - t0
     print(f"[C9] exhaustive 4x4 cross-validation ({tb_count} balanced of "
           f"65536): PASS ({elapsed:.1f}s)")

@@ -312,6 +312,10 @@ def test_experiment_gap_runs_no_simplex(workdir, monkeypatch):
     ["verify", "tb"],
     ["verify", "sgf"],
     ["verify", "lp-duality"],
+    ["experiment", "gap", "--qmax", "0"],
+    ["experiment", "gap", "--qmax", "-3"],
+    ["experiment", "corpus", "--jobs", "0"],
+    ["experiment", "corpus", "--jobs", "-2"],
 ])
 def test_cli_bad_arguments_exit_2(workdir, capsys, argv):
     instance, decomposition = reduce_multicut(gen_random_tree_instance(1))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dense import rows_of
+from dense import masks_instance, rows_of
 from pcover.errors import InputError
 from pcover.generators import (TreeInstance, gen_blackbox_family,
                                gen_gap_family, gen_random_descending_paths,
@@ -73,8 +73,8 @@ def test_gap_family_fractional_combination_value():
 
 def test_gap_family_is_totally_balanced_at_oracle_size():
     fam = gen_gap_family(1)
-    assert is_totally_balanced(fam.instance.row_masks, fam.instance.m)
-    assert standard_greedy_form(fam.instance.row_masks, fam.instance.m).ok
+    assert is_totally_balanced(fam.instance)
+    assert standard_greedy_form(fam.instance).ok
 
 
 def test_blackbox_family_general_shape():
@@ -133,8 +133,8 @@ def test_random_descending_paths_deterministic():
 def test_random_descending_paths_totally_balanced():
     for seed in range(20):
         inst, dec = gen_random_descending_paths(seed, 9, 6, 6)
-        assert is_totally_balanced(inst.row_masks, inst.m)
-        assert standard_greedy_form(inst.row_masks, inst.m).ok
+        assert is_totally_balanced(inst)
+        assert standard_greedy_form(inst).ok
         assert dec.rho == 1
         dec.validate_against(inst)
 
@@ -187,7 +187,7 @@ def test_reduce_multicut_row_induced_parts_totally_balanced():
         # row-induced samples from the parts stay totally balanced
         for _ in range(4):
             rows = tuple(dec.parts[rng.below(2)][i] for i in range(inst.n))
-            assert is_totally_balanced(row_bitmasks(rows), inst.m)
+            assert is_totally_balanced(masks_instance(row_bitmasks(rows), inst.m))
 
 
 def test_reduce_path_hitting_cost_inheritance():
@@ -208,7 +208,8 @@ def test_reduce_path_hitting_random_instances_are_separable():
         inst, dec, _ = reduce_path_hitting(tree, cover_paths, demand_paths)
         dec.validate_against(inst)
         for part in dec.parts:
-            assert is_totally_balanced(row_bitmasks(part), inst.m) or inst.n > 12
+            assert (is_totally_balanced(masks_instance(row_bitmasks(part), inst.m))
+                    or inst.n > 12)
 
 
 def test_reduce_path_hitting_default_target_is_coverable():
@@ -230,8 +231,8 @@ def test_reduce_rectangles_1d_interval_matrix():
     inst, dec, path_flag = reduce_rectangle_stabbing(rect)
     assert path_flag
     assert dec.rho == 1
-    assert is_gamma_free(inst.row_masks)
-    assert is_totally_balanced(inst.row_masks, inst.m) or inst.n > 12
+    assert is_gamma_free(inst)
+    assert is_totally_balanced(inst) or inst.n > 12
 
 
 def test_reduce_rectangles_2d_two_blocks():

@@ -8,7 +8,7 @@ import importlib
 from dataclasses import replace
 from fractions import Fraction as F
 
-from kolen_reference import reference_audit_optimality
+from kolen_reference import reference_audit_optimality, with_pruned
 from lp_reference import (reference_is_dual_feasible,
                           reference_is_primal_feasible)
 from pcover import model
@@ -150,7 +150,7 @@ def redistributed(instance, run, y):
         residuals.append(fresh)
     return KolenResult(run.pruned, run.tight,
                        DualSolution(tuple(y), run.dual.lam, tuple(residuals)),
-                       run.positive)
+                       run.positive, run.covered)
 
 
 def nudged_runs(instance, run, rng):
@@ -165,20 +165,18 @@ def nudged_runs(instance, run, rng):
         i = rng.below(n)
         yield KolenResult(run.pruned, run.tight, DualSolution(
             tuple(y[:i] + [y[i] + nudge] + y[i + 1:]), run.dual.lam, run.dual.residuals),
-            run.positive)
+            run.positive, run.covered)
         if m:
             j = rng.below(m)
             moved = residuals[:j] + [residuals[j] - DeltaRational(0, nudge)] + residuals[j + 1:]
             yield KolenResult(run.pruned, run.tight,
                               DualSolution(run.dual.y, run.dual.lam, tuple(moved)),
-                              run.positive)
+                              run.positive, run.covered)
     extra = sorted(run.tight.as_set() - run.pruned.as_set())
     if extra:
-        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight,
-                          run.dual, run.positive)
+        yield with_pruned(instance, run, Cover.of(run.pruned.sets + (extra[0],)))
     if run.pruned.sets:
-        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual,
-                          run.positive)
+        yield with_pruned(instance, run, Cover(run.pruned.sets[:-1]))
     for _ in range(6):
         source, sink = rng.below(n), rng.below(n)
         for amount in (NUDGES[1], y[source], y[source] + NUDGES[0], DeltaRational(0, 1)):
@@ -243,7 +241,7 @@ def with_dual_value(run, i, value):
     y[i] = DeltaRational(value, y[i].delta)
     return KolenResult(run.pruned, run.tight,
                        DualSolution(tuple(y), run.dual.lam, run.dual.residuals),
-                       run.positive)
+                       run.positive, run.covered)
 
 
 def test_lemma_witness_matches_reference():

@@ -11,8 +11,9 @@ from fractions import Fraction as F
 import pytest
 
 from dense import rows_of
-from kolen_reference import (reference_audit_optimality, reference_dual_lines,
-                             reference_kolen, reference_positive_mask)
+from kolen_reference import (reference_audit_optimality, reference_decode,
+                             reference_dual_lines, reference_kolen,
+                             reference_positive_mask, with_pruned)
 from pcover import arith, lp, model, pipeline, threshold
 from pcover.arith import DeltaRational, common_scale, fraction_sum
 from pcover.errors import AuditError, InternalInvariantError
@@ -104,16 +105,23 @@ def test_kernel_dual_is_decoded_on_first_read():
 def kernel_prefix(instance, lines):
     """Fraction dual lines of the first elements as the `LinePrefix` the
     probes resume from: int pairs over (L_c, L_p), every set's residual
-    after them, and the mask of the nonzero lines."""
+    after them, the mask of the nonzero lines, the sets with a member
+    after the prefix, and the other sets whose residual line is zero."""
     l_c, l_p = instance.scaled_costs()[0], instance.scaled_profits()[0]
     y = tuple(((a * l_c).numerator, (b * l_p).numerator) for a, b in lines)
     residuals = []
-    for c, mask in zip(instance.scaled_costs()[1], instance.col_masks):
-        members = [k for k in bit_indices(mask) if k < len(y)]
+    suffix_sets = []
+    for j, (c, mask) in enumerate(zip(instance.scaled_costs()[1], instance.col_masks)):
+        members = bit_indices(mask)
+        if any(k >= len(y) for k in members):
+            suffix_sets.append(j)
+        members = [k for k in members if k < len(y)]
         residuals.append((c - sum(y[k][0] for k in members),
                           -sum(y[k][1] for k in members)))
     positive = sum(1 << k for k, line in enumerate(y) if line != (0, 0))
-    return LinePrefix(y, tuple(residuals), positive)
+    outside_tight = tuple(j for j, line in enumerate(residuals)
+                          if line == (0, 0) and j not in suffix_sets)
+    return LinePrefix(y, tuple(residuals), positive, tuple(suffix_sets), outside_tight)
 
 
 class RestartPass:
@@ -232,6 +240,60 @@ def test_resumed_probes_match_runs_from_element_zero(monkeypatch):
     assert sum(1 for start in probes if start > 0) > len(works)
 
 
+def kept_packed_runs(instance):
+    """The packed, not yet decoded, runs that the threshold search keeps."""
+    thr = find_threshold(instance)
+    runs = (thr.exact_hit, thr.below, thr.at_or_above, thr.at_star)
+    return [run._dual for run in runs
+            if run is not None and not isinstance(run._dual, DualSolution)]
+
+
+def decode_instances():
+    works = [to_greedy_form(corpus_instance(seed))[0] for seed in range(600)]
+    for q in (1, 2, 3, 4):
+        gap = gen_gap_family(q).instance
+        works += [to_greedy_form(inst)[0]
+                  for inst in [gap] + [shuffled(gap, seed) for seed in range(1, 6)]]
+    return works
+
+
+def test_kept_run_decodes_match_reference_decode():
+    # decode evaluates the prefix's lines only when a kept run is read, and
+    # unpacks each distinct value once; the reference does neither.
+    works = decode_instances()
+    decoded = resumed = 0
+    for work in works:
+        for packed in kept_packed_runs(work):
+            assert packed.decode() == reference_decode(packed)
+            decoded += 1
+            resumed += packed.prefix is not None
+    assert decoded > len(works) and resumed > len(works)
+
+
+def test_decode_unpacks_each_distinct_value_once(monkeypatch):
+    built = []
+    of_fractions = DeltaRational.of_fractions.__func__
+
+    def counted(cls, value, delta):
+        built.append(1)
+        return of_fractions(cls, value, delta)
+
+    works = [to_greedy_form(gen_gap_family(q).instance)[0] for q in (1, 2, 3, 4)]
+    works += [to_greedy_form(corpus_instance(seed))[0] for seed in range(100)]
+    shared = 0
+    for work in works:
+        for packed in kept_packed_runs(work):
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(DeltaRational, "of_fractions", classmethod(counted))
+                dual = packed.decode()
+            values = dual.y + dual.residuals
+            distinct = {(x.value, x.delta) for x in values}
+            assert len(built) <= len(distinct)
+            shared += len(values) - len(built)
+    assert shared > 0
+
+
 def audit_outcome(audit):
     return (audit.ok, audit.failed_clause, audit.detail)
 
@@ -249,7 +311,7 @@ def moved_dual(instance, run, source, sink, amount):
             fresh = fresh - y[i]
         residuals.append(fresh)
     dual = DualSolution(tuple(y), run.dual.lam, tuple(residuals))
-    return KolenResult(run.pruned, run.tight, dual, run.positive)
+    return KolenResult(run.pruned, run.tight, dual, run.positive, run.covered)
 
 
 def tampered_runs(instance, run):
@@ -259,11 +321,9 @@ def tampered_runs(instance, run):
     yield run
     extra = sorted(run.tight.as_set() - run.pruned.as_set())
     if extra:
-        yield KolenResult(Cover.of(run.pruned.sets + (extra[0],)), run.tight,
-                          run.dual, run.positive)
+        yield with_pruned(instance, run, Cover.of(run.pruned.sets + (extra[0],)))
     if run.pruned.sets:
-        yield KolenResult(Cover(run.pruned.sets[:-1]), run.tight, run.dual,
-                          run.positive)
+        yield with_pruned(instance, run, Cover(run.pruned.sets[:-1]))
     if instance.n >= 2:
         last = instance.n - 1
         yield moved_dual(instance, run, 0, last, run.dual.y[0])
@@ -369,25 +429,47 @@ def test_kernel_never_calls_common_scale(monkeypatch):
     assert calls  # the checker side did scale through the wrapper
 
 
-def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):
-    packed_update = kolen_module._packed_dual_update
-    sabotaged_sets = []
-
-    def one_wrong_residual(instance, lam, prefix=None):
-        packed = packed_update(instance, lam, prefix)
-        residuals = list(packed.residuals)
-        j = max((j for j, r in enumerate(residuals) if r > 0), default=None)
+def sabotage_one_residual(packed, outside):
+    """The packed run with one set's residual off by one unit: the last
+    positive one the update computed, or, with `outside`, the last set
+    outside the suffix, whose residual `decode` evaluates from the
+    prefix's line.  Returns (packed run, sabotaged set or None)."""
+    if not outside:
+        j = max((j for j, r in enumerate(packed.residuals)
+                 if r is not None and r > 0), default=None)
         if j is None:
-            return packed
+            return packed, None
+        residuals = list(packed.residuals)
         residuals[j] += 1  # still positive, so tight sets and pruning stay
-        sabotaged_sets.append(j)
-        return replace(packed, residuals=residuals)
+        return replace(packed, residuals=residuals), j
+    j = max((j for j, r in enumerate(packed.residuals) if r is None), default=None)
+    if j is None:
+        return packed, None
+    lines = list(packed.prefix.residuals)
+    lines[j] = (lines[j][0] + 1, lines[j][1])
+    return replace(packed, prefix=replace(packed.prefix, residuals=tuple(lines))), j
 
+
+def test_sabotaged_kernel_residual_fails_the_audit(monkeypatch):
+    # One residual the update computes and one that decode evaluates from
+    # the prefix: either way the audit names the set.
+    packed_update = kolen_module._packed_dual_update
     instance = gen_gap_family(1).instance
     solve_partial_tbc(instance)
-    monkeypatch.setattr(kolen_module, "_packed_dual_update", one_wrong_residual)
-    with pytest.raises(AuditError) as failure:
-        solve_partial_tbc(instance)
-    named = [f"dual_optimality_{side}: clause d: residual mismatch at set {j}"
-             for side in ("low", "high") for j in sabotaged_sets]
-    assert any(text in str(failure.value) for text in named), str(failure.value)
+    for outside in (False, True):
+        sabotaged_sets = []
+
+        def one_wrong_residual(instance, lam, prefix=None):
+            packed, j = sabotage_one_residual(packed_update(instance, lam, prefix),
+                                              outside)
+            if j is not None:
+                sabotaged_sets.append(j)
+            return packed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kolen_module, "_packed_dual_update", one_wrong_residual)
+            with pytest.raises(AuditError) as failure:
+                solve_partial_tbc(instance)
+        named = [f"dual_optimality_{side}: clause d: residual mismatch at set {j}"
+                 for side in ("low", "high") for j in sabotaged_sets]
+        assert any(text in str(failure.value) for text in named), str(failure.value)

@@ -9,7 +9,7 @@ from pcover.errors import InputError
 from kolen_reference import reference_audit_optimality, reference_positive_mask
 from pcover.kolen import (DualSolution, KolenResult, audit_optimality, kolen,
                           prize_collecting_value)
-from pcover.model import Cover, covered_profit, make_instance
+from pcover.model import Cover, covered_element_mask, covered_profit, make_instance
 from pcover.pipeline import brute_force_prize_collecting, to_greedy_form
 from pcover.generators import corpus_instance
 
@@ -92,7 +92,7 @@ def test_audit_catches_redundant_tight_set():
     # whose dual is positive, and the extra cost already breaks clause (a).
     res = kolen(TWO_BY_TWO, 10)
     tampered = KolenResult(pruned=Cover.of([0, 1]), tight=res.tight, dual=res.dual,
-                           positive=res.positive)
+                           positive=res.positive, covered=0b11)
     report = audit_optimality(TWO_BY_TWO, 10, tampered)
     assert (report.ok, report.failed_clause, report.detail) == (
         False, "a", "cost+penalty 5 != dual total 3")
@@ -102,7 +102,7 @@ def test_audit_catches_uncovered_below_cap():
     # Tamper: drop the only pruned set; both penalties now count in (a).
     res = kolen(TWO_BY_TWO, 10)
     tampered = KolenResult(pruned=Cover.of([]), tight=res.tight, dual=res.dual,
-                           positive=res.positive)
+                           positive=res.positive, covered=0)
     report = audit_optimality(TWO_BY_TWO, 10, tampered)
     assert (report.ok, report.failed_clause, report.detail) == (
         False, "a", "cost+penalty 20 != dual total 3")
@@ -141,7 +141,8 @@ def test_audit_names_each_clause(instance, lam, pruned, y, residuals, clause, de
     dual = DualSolution(tuple(map(DeltaRational.of, y)), DeltaRational.of(lam),
                         tuple(map(DeltaRational.of, residuals)))
     run = KolenResult(pruned=Cover.of(pruned), tight=Cover.of(pruned), dual=dual,
-                      positive=reference_positive_mask(dual.y))
+                      positive=reference_positive_mask(dual.y),
+                      covered=covered_element_mask(instance, Cover.of(pruned)))
     report = audit_optimality(instance, lam, run)
     assert (report.ok, report.failed_clause, report.detail) == (False, clause, detail)
     assert report == reference_audit_optimality(instance, lam, run)

@@ -237,14 +237,14 @@ def test_certified_lp_value_matches_simplex_on_rho_reductions(monkeypatch):
 
 
 def test_failed_dual_check_fails_strong_duality(monkeypatch):
-    monkeypatch.setattr(pipeline, "is_dual_feasible", lambda *args: False)
+    monkeypatch.setattr(pipeline, "is_dual_feasible", lambda *args, **kwargs: False)
     with pytest.raises(AuditError, match="strong_duality"):
         solve_partial_tbc(corpus_instance(1))
 
 
 def test_unequal_objectives_fail_strong_duality(monkeypatch):
-    def off_by_one(*args):
-        point = mixed_cover_point(*args)
+    def off_by_one(*args, **kwargs):
+        point = mixed_cover_point(*args, **kwargs)
         return replace(point, value=point.value + 1)
 
     monkeypatch.setattr(pipeline, "mixed_cover_point", off_by_one)

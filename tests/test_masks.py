@@ -29,7 +29,7 @@ def test_solve_path_never_reads_rows():
     rng = Lcg(1)
     shuffled = permute_instance(fam.instance, PermutationPair(
         _lcg_shuffle(fam.instance.n, rng), _lcg_shuffle(fam.instance.m, rng)))
-    assert standard_greedy_form(shuffled.row_masks, shuffled.m).mode == "doubly-lexical"
+    assert standard_greedy_form(shuffled).mode == "doubly-lexical"
     rho_inputs = ([reduce_multicut(gen_random_tree_instance(s)) for s in range(1, 6)]
                   + [reduce_rectangle_stabbing(gen_random_rectangles(s, 2))[:2]
                      for s in range(1, 4)])

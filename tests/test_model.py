@@ -28,10 +28,14 @@ def test_infeasible_target_rejected():
 
 
 def test_negative_cost_and_profit_rejected():
-    with pytest.raises(InputError, match="negative cost"):
+    with pytest.raises(InputError, match="^negative cost -1 at set 0$"):
         make_instance([[1]], [-1], [1], 0)
-    with pytest.raises(InputError, match="negative profit"):
+    with pytest.raises(InputError, match="^negative profit -1 at element 0$"):
         make_instance([[1]], [1], [-1], 0)
+    with pytest.raises(InputError, match="^negative cost -1/3 at set 1$"):
+        make_instance([[1, 1]], [0, F(-1, 3)], [1], 0)
+    with pytest.raises(InputError, match="^negative profit -2/7 at element 1$"):
+        make_instance([[1], [1]], [1], [0, F(-2, 7)], 0)
 
 
 def test_dimension_mismatch_rejected():

@@ -2,11 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from dense import rows_of
+from dense import masks_instance, rows_of
 from pcover.generators import (corpus_instance, gen_gap_family,
                                gen_random_descending_paths)
-from pcover.model import (PermutationPair, covered_profit, make_instance,
-                          permute_instance, row_bitmasks)
+from pcover.model import (PermutationPair, covered_profit, permute_instance,
+                          row_bitmasks)
 from pcover.pipeline import solve_partial_tbc
 from pcover.tb import (gamma_witness, is_gamma_free, is_totally_balanced,
                        standard_greedy_form)
@@ -37,10 +37,10 @@ def shuffled_tb_instances(draw):
 @given(shuffled_tb_instances())
 def test_shuffled_tb_instances_reorder_and_solve(pair):
     base, inst = pair
-    sgf = standard_greedy_form(inst.row_masks, inst.m)
+    sgf = standard_greedy_form(inst)
     assert sgf.ok
     permuted = permute_instance(inst, sgf.perm)
-    assert is_gamma_free(permuted.row_masks)
+    assert is_gamma_free(permuted)
     assert sgf.perm.apply_to_matrix(rows_of(inst)) == rows_of(permuted)
     report = solve_partial_tbc(inst)
     assert covered_profit(inst, report.cover) >= inst.target
@@ -56,12 +56,11 @@ def _matrices(max_dim):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_matrices(7))
 def test_reorder_agrees_with_definition(rows):
-    masks, m = row_bitmasks(rows), len(rows[0])
-    sgf = standard_greedy_form(masks, m)
-    assert sgf.ok == is_totally_balanced(masks, m)
+    inst = masks_instance(row_bitmasks(rows), len(rows[0]))
+    sgf = standard_greedy_form(inst)
+    assert sgf.ok == is_totally_balanced(inst)
     if sgf.ok:
-        inst = make_instance(rows, [0] * m, [0] * len(rows), 0)
-        assert is_gamma_free(permute_instance(inst, sgf.perm).row_masks)
+        assert is_gamma_free(permute_instance(inst, sgf.perm))
 
 
 @st.composite
@@ -87,7 +86,7 @@ def matrices_with_cycle(draw):
 @PROPERTY
 @given(matrices_with_cycle())
 def test_non_tb_witness_indexes_gamma_in_original(rows):
-    sgf = standard_greedy_form(row_bitmasks(rows), len(rows[0]))
+    sgf = standard_greedy_form(masks_instance(row_bitmasks(rows), len(rows[0])))
     assert not sgf.ok
     (i1, i2), (j1, j2) = sgf.witness.rows, sgf.witness.cols
     assert [[rows[i1][j1], rows[i1][j2]], [rows[i2][j1], rows[i2][j2]]] == [[1, 1], [1, 0]]
@@ -114,7 +113,8 @@ def reference_gamma_witness(row_masks):
 @given(_matrices(8))
 def test_gamma_witness_agrees_with_pair_scan(rows):
     masks = row_bitmasks(rows)
-    found = gamma_witness(masks)
+    inst = masks_instance(masks, len(rows[0]))
+    found = gamma_witness(inst.row_masks, inst.element_sets())
     assert (found is None) == (reference_gamma_witness(masks) is None)
     if found is not None:
         (i1, i2), (j1, j2) = found.rows, found.cols

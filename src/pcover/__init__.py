@@ -11,9 +11,8 @@ from .generators import (BlackboxFamily, GapFamily, RectangleInstance,
                          reduce_path_hitting, reduce_rectangle_stabbing)
 from .kolen import DualSolution, KolenResult, audit_optimality, kolen
 from .lp import DualFractional, FractionalSolution, solve_dual, solve_lp
-from .merger import (MergeContext, MergerGraph, MergeTrace,
-                     absolute_benefits, audit_merge_bound,
-                     build_merger_graph, merge, relative_benefit)
+from .merger import (MergeContext, MergerGraph, MergeTrace, audit_merge_bound,
+                     build_merger_graph, merge)
 from .model import (Cover, Decomposition, Instance, PermutationPair,
                     cover_cost, covered_profit, make_instance,
                     permute_instance, sub_instance)

@@ -24,6 +24,7 @@ one cannot be shared by the kernel and the checker that checks it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -89,13 +90,25 @@ def common_scale(values: Iterable[Fraction | int],
                            map(factors.__getitem__, dens)))
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num' or 'num/den' into a Fraction."""
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
-    return value
+    """Parse 'num' or 'num/den' into a Fraction: an optional sign, digits,
+    and optionally a slash and digits, around which whitespace is ignored.
+
+    Anything else (an exponent, a decimal point, an underscore) is not a
+    rational here, so no token reaches `Fraction` unchecked: a short
+    exponent such as '1e999999999' would make it build 10**999999999.
+    """
+    parts = _RATIONAL.fullmatch(text.strip())
+    if parts is not None:
+        num, den = parts.groups()
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits, den 0
+            pass
+    raise ValueError(f"not a rational: {text!r}")
 
 
 def format_rational(x: Fraction) -> str:

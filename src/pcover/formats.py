@@ -13,6 +13,11 @@ Instance (.pcov):         Decomposition (.dec):      Tree (.tree):
     n profits                                             s t profit   (per line)
     n matrix lines
 Node ids in tree files are 1-based with parent 0 marking the root.
+
+Matrix rows are taken in one filtered pass over the remaining lines and
+checked together, by their lengths and the counts of '0' and '1' in their
+join; only a file that fails is scanned row by row, so the error names the
+row, line and column a row-by-row parse would.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .arith import format_rational, parse_rational
 from .errors import InputError
@@ -38,27 +44,30 @@ class _Lines:
         self.pos = 0
 
     def next(self, what: str) -> tuple[str, int]:
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos].strip()
-            self.pos += 1
-            if line and not line.startswith("#"):
-                return line, self.pos
-        raise InputError(f"unexpected end of file, expected {what}",
-                         line=len(self.raw) + 1)
+        for found in self.take(1):
+            return found
+        raise self.eof(what)
+
+    def eof(self, what: str) -> InputError:
+        return InputError(f"unexpected end of file, expected {what}",
+                          line=len(self.raw) + 1)
+
+    def take(self, count: int) -> list[tuple[str, int]]:
+        """Up to `count` next content lines with their line numbers, found in
+        one filtered pass over the raw lines."""
+        numbered = enumerate(map(str.strip, islice(self.raw, self.pos, None)),
+                             self.pos + 1)
+        found = list(islice(((line, k) for k, line in numbered
+                             if line and not line.startswith("#")), count))
+        if found:
+            self.pos = found[-1][1]
+        return found
 
     def end(self) -> None:
         """Reject any content line after the last expected one."""
-        for line, lineno in self.rest():
+        for line, lineno in self.take(1):
             raise InputError(f"unexpected trailing content {line[:40]!r}",
                              line=lineno)
-
-    def rest(self):
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos].strip()
-            self.pos += 1
-            if line and not line.startswith("#"):
-                yield line, self.pos
-
 
 def _rational(token: str, lineno: int) -> Fraction:
     try:
@@ -88,8 +97,8 @@ def _int(token: str, lineno: int, what: str) -> int:
 _NOT_BINARY = re.compile("[^01]")
 
 
-def _matrix_line(line: str, lineno: int, m: int) -> str:
-    """`line` itself, once checked to be m characters, each 0 or 1."""
+def _matrix_line(line: str, lineno: int, m: int) -> None:
+    """Raise on the first fault of a row that is not m characters 0 or 1."""
     if len(line) != m:
         raise InputError(f"matrix row has {len(line)} characters, expected {m}",
                          line=lineno)
@@ -97,7 +106,25 @@ def _matrix_line(line: str, lineno: int, m: int) -> str:
     if bad:
         raise InputError(f"matrix entry {bad.group()!r}", line=lineno,
                          column=bad.start() + 1)
-    return line
+
+
+def _matrix_rows(lines: _Lines, count: int, m: int, what: str) -> list[str]:
+    """The next `count` content lines, each m characters 0 or 1.
+
+    The rows are checked together, by their lengths and the counts of '0'
+    and '1' in their join; only a file that fails is scanned row by row,
+    to name the first bad row, or the missing one, as a row-by-row parse
+    would.
+    """
+    found = lines.take(count)
+    rows = [line for line, _ in found]
+    joined = "".join(rows)
+    if (len(rows) == count and set(map(len, rows)) <= {m}
+            and joined.count("0") + joined.count("1") == count * m):
+        return rows
+    for line, lineno in found:
+        _matrix_line(line, lineno, m)
+    raise lines.eof(what)
 
 
 def parse_instance(text: str) -> Instance:
@@ -120,8 +147,8 @@ def parse_instance(text: str) -> Instance:
     costs = _rationals(*lines.next("costs"), m, "costs") if m else []
     profits = _rationals(*lines.next("profits"), n, "profits") if n else []
     # Character k is bit k of the row mask: the reversed line is its binary.
-    masks = ([int(_matrix_line(*lines.next("matrix row"), m)[::-1], 2)
-              for _ in range(n)] if m else [0] * n)
+    masks = ([int(row[::-1], 2) for row in _matrix_rows(lines, n, m, "matrix row")]
+             if m else [0] * n)
     lines.end()
     return checked_instance(masks, costs, profits, target)
 
@@ -152,8 +179,9 @@ def parse_decomposition(text: str, n: int, m: int) -> Decomposition:
     parts = []
     for _ in range(rho):
         # With no sets, part rows render as blank lines, which are skipped.
-        parts.append(tuple(tuple(map(int, _matrix_line(*lines.next("part row"), m)))
-                           for _ in range(n)) if m else ((),) * n)
+        parts.append(tuple(tuple(map(int, row))
+                           for row in _matrix_rows(lines, n, m, "part row"))
+                     if m else ((),) * n)
     lines.end()
     return Decomposition(rho, tuple(parts))
 

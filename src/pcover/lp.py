@@ -28,8 +28,9 @@ the instance's Fractions over common denominators they compute with
 `arith.common_scale`, never with the kernel's scaling, and decide each
 constraint on ints; `mixed_cover_point` sums the two covers' profits
 as ints over `common_scale` of the profits and builds its weight as one
-Fraction, and it and `dual_value` add the rest with `arith.fraction_sum`
-(one Fraction per sum, zero terms dropped).
+Fraction, reads each r_i's pattern off the covers' missed-element masks,
+and it and `dual_value` add the rest with `arith.fraction_sum` (one
+Fraction per sum, zero terms dropped).
 `tests/lp_reference.py` keeps the plain-sum versions that referee them.
 """
 
@@ -240,8 +241,17 @@ def mixed_cover_point(instance: Instance, low: Cover, high: Cover | None = None,
         for j in cover.sets:
             x_pattern[j] |= 1 << k
     x = [totals[pattern] for pattern in x_pattern]
-    r = [totals[sum(1 << k for k, mask in enumerate(masks) if not mask >> i & 1)]
-         for i in range(instance.n)]
+    # r_i is totals[0] unless some cover misses element i: each nonzero
+    # pattern's elements are one mask, read off the missed-element masks.
+    everything = (1 << instance.n) - 1
+    missed = [everything & ~mask for mask in masks]
+    r = [totals[0]] * instance.n
+    for pattern in range(1, len(totals)):
+        elements = everything
+        for k, miss in enumerate(missed):
+            elements &= miss if pattern >> k & 1 else ~miss
+        for i in bit_indices(elements):
+            r[i] = totals[pattern]
     # The value is one product per pattern: its weight times its sets' costs.
     pattern_costs = [[] for _ in totals]
     for c, pattern in zip(instance.costs, x_pattern):

@@ -22,9 +22,12 @@ decay at multi-child splits.  The recursion compares exact ints, the
 profits, target and benefits scaled by L (the lcm of the profit
 denominators and the target's denominator) and the costs scaled by L_c
 (`Instance.scaled_costs`); its trace and messages are Fractions in
-original units.  Coverage is one OR of the cover's column masks and an
-int sum of the scaled profits over the smaller side of that mask
-(`model.ScaledCoverage`), kept once per distinct cover mask.  `merge` checks
+original units.  The benefits come from `Instance.scaled_profits()` in one
+pass over the row masks, with one benefit total per subtree, so a
+subtree's relative benefit walks only the members the cover holds; the
+flip identity compares it with the coverage change.  Coverage is one OR
+of the cover's column masks summed by `model.ScaledCoverage` (one popcount
+per distinct profit), kept once per distinct cover mask.  `merge` checks
 its entry and its result with that same coverage against the scaled
 target, which decides exactly the predicates on Fractions; the final
 cost bound is re-checked by `audit_merge_bound`, and the solve's
@@ -63,11 +66,6 @@ class MergerGraph:
     subtrees: dict[int, int]
 
 
-def _set_mask(cover: Cover) -> int:
-    """The cover's sets as a mask, bit j for set j."""
-    return sum(1 << j for j in cover.sets)
-
-
 def build_merger_graph(instance: Instance,
                        pruned_minus: Cover, pruned: Cover,
                        positive_minus: int, positive: int) -> MergerGraph:
@@ -88,7 +86,7 @@ def build_merger_graph(instance: Instance,
     does not decrease; either would contradict the forest guarantee and
     signals an upstream bug, not bad input.
     """
-    minus_mask, plus_mask = _set_mask(pruned_minus), _set_mask(pruned)
+    minus_mask, plus_mask = pruned_minus.mask(), pruned.mask()
     minus_only = minus_mask & ~plus_mask
     plus_only = plus_mask & ~minus_mask
     vertices = bit_indices(minus_only | plus_only)
@@ -139,25 +137,6 @@ def build_merger_graph(instance: Instance,
                        subtrees=subtrees)
 
 
-def absolute_benefits(instance: Instance, union_cover: Cover) -> dict[int, Fraction]:
-    """Per-set profit of elements only that set covers within the union."""
-    table: dict[int, Fraction] = {j: Fraction(0) for j in union_cover.sets}
-    union_mask = _set_mask(union_cover)
-    for profit, mask in zip(instance.profits, instance.row_masks):
-        owners = mask & union_mask
-        if owners and not owners & (owners - 1):  # exactly one owner
-            table[owners.bit_length() - 1] += profit
-    return table
-
-
-def relative_benefit(graph: MergerGraph, j: int, D: int, benefits):
-    """Signed coverage change of flipping the subtree at j against the
-    cover mask D, in the units of `benefits` (indexed by set)."""
-    sub = graph.subtrees[j]
-    return (sum(map(benefits.__getitem__, bit_indices(sub & ~D)))
-            - sum(map(benefits.__getitem__, bit_indices(sub & D))))
-
-
 @dataclass(frozen=True)
 class SplitRecord:
     root: int
@@ -188,13 +167,6 @@ class MergeTrace:
     final: Cover | None = None
 
 
-def _scaled(value: Fraction, scale: int, name: str) -> int:
-    scaled = value * scale
-    if scaled.denominator != 1:
-        raise InternalInvariantError(f"{name} {value} is not a multiple of 1/{scale}")
-    return scaled.numerator
-
-
 class MergeContext:
     """Shared state for one combining run: graph, instance, target, benefits.
 
@@ -205,23 +177,37 @@ class MergeContext:
     value that leaves the context (trace records and error messages) is a
     Fraction in original units.
 
+    `union` is the mask of the sets of both covers.  A set's benefit is
+    the scaled profit of the elements that it alone covers within the
+    union, read off the row masks in one pass; each subtree keeps the
+    total of its members' benefits, built children first, so the
+    relative benefit of a subtree against a cover walks only the members
+    the cover holds.
+
     `increase` and `decrease` mutate nothing outside the trace; covers are
     passed and returned as int masks of set indices.
     """
 
     def __init__(self, graph: MergerGraph, instance: Instance, target: Fraction,
-                 benefits: dict[int, Fraction]):
+                 union: int):
         self.graph = graph
         self.instance = instance
         l_p, profits = instance.scaled_profits()
         self.scale = lcm(l_p, target.denominator)
         factor = self.scale // l_p
-        self.scaled_coverage = ScaledCoverage(instance, [p * factor for p in profits])
+        if factor != 1:
+            profits = [p * factor for p in profits]
+        self.scaled_coverage = ScaledCoverage(instance, profits)
         self.costs = instance.scaled_costs()[1]
-        self.target = _scaled(target, self.scale, "target")
-        self.benefits = [0] * instance.m
-        for j, b in benefits.items():
-            self.benefits[j] = _scaled(b, self.scale, f"benefit of set {j}")
+        self.target = target.numerator * (self.scale // target.denominator)
+        self.benefits = benefits = [0] * instance.m
+        for p, row in zip(profits, instance.row_masks):
+            owners = row & union
+            if owners and not owners & (owners - 1):  # exactly one owner
+                benefits[owners.bit_length() - 1] += p
+        self.subtree_benefits = totals = {}
+        for v in graph.vertices:  # children have smaller indices: already built
+            totals[v] = benefits[v] + sum(map(totals.__getitem__, graph.children[v]))
         self.trace = MergeTrace(target=target)
         self._coverage: dict[int, int] = {}
 
@@ -241,7 +227,13 @@ class MergeContext:
         return sum(map(self.costs.__getitem__, bit_indices(D)))
 
     def benefit(self, j: int, D: int) -> int:
-        return relative_benefit(self.graph, j, D, self.benefits)
+        """Signed coverage change of flipping the subtree at j against D:
+        its total benefit, less twice that of the members D holds."""
+        inside = self.graph.subtrees[j] & D
+        total = self.subtree_benefits[j]
+        if not inside:
+            return total
+        return total - 2 * sum(map(self.benefits.__getitem__, bit_indices(inside)))
 
     def flip(self, D: int, j: int) -> int:
         """Symmetric difference with the subtree at j, identity-checked."""
@@ -388,10 +380,9 @@ def merge(graph: MergerGraph, pruned_minus: Cover, pruned: Cover,
     lower cover already reaches the target it is returned unchanged.
     """
     P = instance.target
-    low, high = _set_mask(pruned_minus), _set_mask(pruned)
+    low, high = pruned_minus.mask(), pruned.mask()
     union = low | high
-    run = MergeContext(graph, instance, P,
-                       absolute_benefits(instance, Cover(bit_indices(union))))
+    run = MergeContext(graph, instance, P, union)
     trace = run.trace
 
     if run.coverage(low) >= run.target:
@@ -439,21 +430,30 @@ def audit_cost_bound(cost: Fraction, base: Fraction,
     """Check cost <= (1 + 3**(1-k)) * base + k * c_max for k = 1..10.
 
     The paper's bound for partial TB cover, with base the LP value (or
-    rho times it on a rho-separable matrix).  Exact rational arithmetic;
-    reports the k with the smallest right-hand side among those that hold.
+    rho times it on a rho-separable matrix).  Exact: the three values go
+    over their common denominator d as ints, and with t = 3**(k-1) the
+    bound times t d is the int (t + 1) base + t k c_max, so each k is
+    decided, and the bounds are ordered, by cross-multiplying ints; each
+    bound is built as a Fraction once, for `per_k`.  Reports the k with the
+    smallest right-hand side among those that hold.
     """
+    d = lcm(cost.denominator, base.denominator, c_max.denominator)
+    c, b, c_top = (v.numerator * (d // v.denominator) for v in (cost, base, c_max))
+    top = 3 ** 9
     per_k = []
     failed = None
     tightest = None
-    tightest_bound = None
+    tightest_bound = None  # the bound times 3**9 d
     for k in range(1, 11):
-        bound = (1 + Fraction(1, 3 ** (k - 1))) * base + k * c_max
-        holds = cost <= bound
+        t = 3 ** (k - 1)
+        scaled = (t + 1) * b + t * k * c_top  # the bound times t d
+        bound = Fraction(scaled, t * d)
+        holds = c * t <= scaled
         per_k.append((k, bound, holds))
         if not holds and failed is None:
             failed = (k, bound)
-        if holds and (tightest_bound is None or bound < tightest_bound):
-            tightest_bound = bound
+        if holds and (tightest_bound is None or scaled * (top // t) < tightest_bound):
+            tightest_bound = scaled * (top // t)
             tightest = k
     if failed is None:
         return MergeBoundAudit(True, tuple(per_k), tightest)

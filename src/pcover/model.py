@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import lcm
 from operator import or_
 from typing import Iterable, Sequence
@@ -230,6 +231,10 @@ class Cover:
     def as_set(self) -> frozenset[int]:
         return frozenset(self.sets)
 
+    def mask(self) -> int:
+        """The sets as a mask, bit j for set j."""
+        return sum(1 << j for j in self.sets)
+
     def __len__(self):
         return len(self.sets)
 
@@ -260,21 +265,37 @@ class ScaledCoverage:
 
     `values` are the profits over some common unit (`scaled_profits()`, or
     a multiple of it).  A mask of covered elements lies inside `coverable`,
-    the elements some set contains, so the sum walks the smaller side: the
-    mask's own bits, or the coverable bits it misses, subtracted from
-    `total`, the sum over `coverable`.
+    the elements some set contains.  The elements are grouped by their
+    value, one mask per distinct nonzero value, so the sum is one popcount
+    per class: the sum of v * popcount(mask & class_v).  When there are
+    more classes than bits on the smaller side of the mask, the sum walks
+    that side instead: the mask's own bits, or the coverable bits it
+    misses, subtracted from `total`, the sum over `coverable`.  That side
+    holds at most half the coverable bits, so with more classes than that
+    the classes are never built (`classes` is None) and every sum walks.
     """
 
-    __slots__ = ("values", "coverable", "total")
+    __slots__ = ("values", "coverable", "total", "classes")
 
     def __init__(self, instance: Instance, values: Sequence[int]):
         self.values = values
         self.coverable = reduce(or_, instance.col_masks, 0)
-        self.total = sum(map(values.__getitem__, bit_indices(self.coverable)))
+        self.total = sum(compress(values, instance.element_sets()))
+        distinct = set(values) - {0}
+        self.classes = None
+        if len(distinct) <= self.coverable.bit_count() // 2:
+            members: dict[int, list[int]] = {}
+            for i, v in enumerate(values):
+                if v:
+                    members.setdefault(v, []).append(1 << i)
+            self.classes = tuple((v, sum(bits)) for v, bits in members.items())
 
     def __call__(self, mask: int) -> int:
         missed = self.coverable & ~mask
-        if missed.bit_count() < mask.bit_count():
+        k_missed, k_mask = missed.bit_count(), mask.bit_count()
+        if self.classes is not None and len(self.classes) <= min(k_missed, k_mask):
+            return sum(v * (mask & cls).bit_count() for v, cls in self.classes)
+        if k_missed < k_mask:
             return self.total - sum(map(self.values.__getitem__, bit_indices(missed)))
         return sum(map(self.values.__getitem__, bit_indices(mask)))
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, lcm
+from operator import or_
 
 from .arith import as_rational, common_scale
 from .errors import (AuditError, InfeasibleError, InputError,
@@ -126,32 +128,33 @@ def lemma_witness_check(instance: Instance, graph: MergerGraph,
     must see a set from each pruned cover that are equal or joined by a
     merger edge.  The duals and caps are compared as ints over a common
     denominator from `arith.common_scale`; `profit_scale` is `common_scale`
-    of the profits, computed here when not given.
+    of the profits, computed here when not given.  Each set of the plus
+    cover gets the mask of itself and its neighbours along
+    `graph.edges`; an element passes when the OR of its plus sets' masks
+    meets its row mask within the minus cover.
     """
     lam = above.dual.lam.value
     l_p, profits = profit_scale or common_scale(instance.profits)
     unit = lam.denominator * l_p
     scale, y = common_scale([yi.value for yi in above.dual.y], unit)
     cap_unit = lam.numerator * (scale // unit)
-    edge_set = set(graph.edges)
-    pm = below.pruned.as_set()
-    pp = above.pruned.as_set()
-    element_sets = instance.element_sets()
+    pm = below.pruned.mask()
+    pp = above.pruned.mask()
+    # reach[j], for a set j of the plus cover: j and its merger neighbours.
+    reach = [0] * instance.m
+    for j in above.pruned.sets:
+        reach[j] = 1 << j
+    for a, b in graph.edges:
+        if pp >> a & 1:
+            reach[a] |= 1 << b
+        if pp >> b & 1:
+            reach[b] |= 1 << a
+    element_sets, row_masks = instance.element_sets(), instance.row_masks
     for i, (yi, p) in enumerate(zip(y, profits)):
         if yi >= cap_unit * p:
             continue
-        sets_i = element_sets[i]
-        plus_hits = [j for j in sets_i if j in pp]
-        minus_hits = [j for j in sets_i if j in pm]
-        ok = False
-        for j1 in plus_hits:
-            for j2 in minus_hits:
-                if j1 == j2 or (j1, j2) in edge_set or (j2, j1) in edge_set:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
+        near = reduce(or_, map(reach.__getitem__, element_sets[i]), 0)
+        if not near & row_masks[i] & pm:
             return False
     return True
 
@@ -205,7 +208,7 @@ def solve_partial_tbc(instance: Instance, *, oracle: bool = False) -> SolveRepor
                                                            low_run, **scales)
         outcomes["dual_optimality_high"] = audit_optimality(work, high_run.dual.lam,
                                                             high_run, **scales)
-        audits["tight_inclusion"] = perturbed.tight.as_set() <= thr.at_star.tight.as_set()
+        audits["tight_inclusion"] = not perturbed.tight.mask() & ~thr.at_star.tight.mask()
         audits["value_parts_match"] = all(
             yl.value == yh.value for yl, yh in zip(low_run.dual.y, high_run.dual.y))
         graph = build_merger_graph(work, low_run.pruned, high_run.pruned,
@@ -427,8 +430,10 @@ def absorb_additive_error(instance: Instance, k: int, alpha,
 
 
 def _scaled_ints(values) -> tuple[list[int], int]:
+    """(values times D as ints, D), D the lcm of the values' denominators:
+    the oracles' own scaling, independent of the kernel's."""
     denom = lcm(*(v.denominator for v in values))
-    return [int(v * denom) for v in values], denom
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def brute_force_partial(instance: Instance) -> tuple[Cover, Fraction]:
@@ -489,10 +494,15 @@ def brute_force_prize_collecting(instance: Instance, lam) -> Fraction:
     check_guard(m <= BRUTE_FORCE_LIMIT,
                 f"brute force limited to {BRUTE_FORCE_LIMIT} sets, got {m}")
     lam = as_rational(lam)
-    penalties = [lam * p for p in instance.profits]
-    scaled, denom = _scaled_ints(list(instance.costs) + penalties)
-    cost_scaled = scaled[:m]
-    pen_scaled = scaled[m:]
+    # Costs over L_c and penalties lam * p over lam's denominator times L_p,
+    # both put over their lcm.
+    cost_scaled, l_c = _scaled_ints(instance.costs)
+    profit_scaled, l_p = _scaled_ints(instance.profits)
+    unit = lam.denominator * l_p
+    denom = lcm(l_c, unit)
+    cost_scaled = [c * (denom // l_c) for c in cost_scaled]
+    factor = lam.numerator * (denom // unit)
+    pen_scaled = [factor * p for p in profit_scaled]
 
     pen_of: dict[int, int] = {}
     total_pen = sum(pen_scaled)

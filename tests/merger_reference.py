@@ -6,8 +6,12 @@ off the decoded duals.  `FractionMergeContext` and `reference_merge`
 run the combining recursion with every coverage summed as Fractions, bit
 by bit, through `model.covered_profit`, on covers held as frozensets; sets
 become masks only in the `MergerGraph` they build, and `members` reads a
-subtree mask back.  The tests referee the mask-based graph build and the
-scaled-int recursion against them; nothing in `src` imports this module.
+subtree mask back.  `absolute_benefits` (the Fraction benefit table) and
+`relative_benefit` (a walk over every member of the subtree) are the
+definitions the int benefits of `merger.MergeContext` are checked
+against, and `reference_cost_bound` is the cost-bound audit in Fractions.
+The tests referee the mask-based graph build and the scaled-int
+recursion against them; nothing in `src` imports this module.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from fractions import Fraction
 
 from kolen_reference import reference_positive_mask
 from pcover.errors import InputError, InternalInvariantError
-from pcover.merger import (CallRecord, MergerGraph, MergeTrace, SplitRecord,
-                           absolute_benefits)
+from pcover.merger import CallRecord, MergerGraph, MergeTrace, SplitRecord
 from pcover.model import Cover, bit_indices, cover_cost, covered_profit
 
 
@@ -27,6 +30,26 @@ def members(mask):
 
 def mask_of(indices):
     return sum(1 << j for j in indices)
+
+
+def absolute_benefits(instance, union_cover):
+    """Per-set profit of elements only that set covers within the union."""
+    table = {j: Fraction(0) for j in union_cover.sets}
+    union_mask = mask_of(union_cover.sets)
+    for profit, mask in zip(instance.profits, instance.row_masks):
+        owners = mask & union_mask
+        if owners and not owners & (owners - 1):  # exactly one owner
+            table[owners.bit_length() - 1] += profit
+    return table
+
+
+def relative_benefit(graph, j, D, benefits):
+    """Signed coverage change of flipping the subtree at j against the
+    cover mask D, in the units of `benefits` (indexed by set), summed over
+    every member of the subtree."""
+    sub = graph.subtrees[j]
+    return (sum(map(benefits.__getitem__, bit_indices(sub & ~D)))
+            - sum(map(benefits.__getitem__, bit_indices(sub & D))))
 
 
 def reference_build_merger_graph(instance, pruned_minus, pruned, dual_minus, dual):
@@ -239,3 +262,13 @@ def reference_merge(graph, pruned_minus, pruned, instance):
     trace.immediate = "all roots flipped (exact boundary)"
     trace.final = Cover.of(D)
     return trace.final, trace
+
+
+def reference_cost_bound(cost, base, c_max):
+    """`merger.audit_cost_bound`'s per_k and tightest k, in Fractions."""
+    per_k = []
+    for k in range(1, 11):
+        bound = (1 + Fraction(1, 3 ** (k - 1))) * base + k * c_max
+        per_k.append((k, bound, cost <= bound))
+    holding = [(bound, k) for k, bound, holds in per_k if holds]
+    return tuple(per_k), min(holding)[1] if holding else None

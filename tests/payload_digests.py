@@ -23,7 +23,7 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pcover import cli, generators, pipeline  # noqa: E402
+from pcover import cli, generators, merger, pipeline  # noqa: E402
 from pcover.formats import render_payload  # noqa: E402
 from pcover.model import PermutationPair, permute_instance  # noqa: E402
 from pcover.threshold import find_threshold  # noqa: E402
@@ -88,6 +88,28 @@ def threshold():
         yield _threshold_text(generators.corpus_instance(seed))
     for instance in _gap_inputs():
         yield _threshold_text(instance)
+
+
+def _merge_text(instance) -> str:
+    """The merge's trace on the bracketing pair: calls, splits, split
+    vertices, root flips, the immediate exit and the final cover."""
+    work = pipeline.to_greedy_form(instance)[0]
+    thr = find_threshold(work)
+    if thr.exact_hit is not None:
+        return "exact hit\n"
+    low, high = thr.merge_pair(work.target)
+    graph = merger.build_merger_graph(work, low.pruned, high.pruned,
+                                      low.positive, high.positive)
+    trace = merger.merge(graph, low.pruned, high.pruned, work)[1]
+    return (f"{trace.calls!r}\n{trace.splits!r}\n{trace.split_vertices!r}\n"
+            f"{trace.root_flips} {trace.immediate!r} {trace.final!r}\n")
+
+
+def merge():
+    for instance in _gap_inputs():
+        yield _merge_text(instance)
+    for seed in range(1, 601):
+        yield _merge_text(generators.corpus_instance(seed))
 
 
 def multicut():
@@ -167,8 +189,8 @@ def generate():
                 path.unlink()
 
 
-FAMILIES = (corpus, gap, threshold, multicut, pathhit, rects, paths, absorb,
-            blackbox, equitable, generate)
+FAMILIES = (corpus, gap, threshold, merge, multicut, pathhit, rects, paths,
+            absorb, blackbox, equitable, generate)
 
 
 def main() -> int:

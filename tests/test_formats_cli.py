@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from cli_child import run_cli
-from pcover import formats, lp
+from pcover import arith, formats, lp
+from pcover.arith import parse_rational
 from pcover.cli import main
 from pcover.errors import InputError
 from pcover.generators import (TreeInstance, corpus_instance,
@@ -372,3 +373,76 @@ def test_report_payload_is_stable():
     payload = {"b": 1, "a": [2, 3]}
     assert formats.render_payload(payload) == formats.render_payload(dict(payload))
     assert formats.render_payload(payload).startswith('{\n  "a"')
+
+
+PARSE_HEAD = "PCOV 1\n3 4\n1\n1 1 1 1\n1 1 1\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("x010\n0101\n1111\n", "line 6, column 1: matrix entry 'x'"),
+    ("0101\n01x0\n1111\n", "line 7, column 3: matrix entry 'x'"),
+    ("0101\n0101\n111 \n", None),  # stripped: a short row
+    ("0101\n0101\n1112\n", "line 8, column 4: matrix entry '2'"),
+    ("0101\n010\n1111\n", "line 7: matrix row has 3 characters, expected 4"),
+    ("0101\n01011\n1111\n", "line 7: matrix row has 5 characters, expected 4"),
+    ("010\n01011\n1111\n", "line 6: matrix row has 3 characters, expected 4"),
+    ("0101\n0+01\n", "line 7, column 2: matrix entry '+'"),  # bad row, then EOF
+    ("0101\n0101\n", "line 8: unexpected end of file, expected matrix row"),
+    ("0101\n\n# note\n01_1\n1111\n", "line 9, column 3: matrix entry '_'"),
+    ("0101\n0101\n1111\n0000\n", "line 9: unexpected trailing content '0000'"),
+])
+def test_parse_names_the_first_bad_row_as_a_row_by_row_parse(rows, message):
+    if message is None:
+        message = "line 8: matrix row has 3 characters, expected 4"
+    for text in (PARSE_HEAD + rows, (PARSE_HEAD + rows).replace("\n", "\r\n")):
+        with pytest.raises(InputError) as err:
+            formats.parse_instance(text)
+        assert str(err.value) == message
+
+
+def test_parse_reads_rows_around_comments_and_crlf():
+    text = PARSE_HEAD + "0101\n  \n# note\n 1000 \n0011\n# end\n"
+    inst = formats.parse_instance(text)
+    assert inst.row_masks == (0b1010, 0b0001, 0b1100)
+    assert formats.parse_instance(text.replace("\n", "\r\n")) == inst
+    with pytest.raises(InputError) as err:
+        formats.parse_instance(text.replace("0011", "0021").replace("\n", "\r\n"))
+    assert str(err.value) == "line 10, column 3: matrix entry '2'"
+
+
+@pytest.mark.parametrize("token", ["1e3", "0.5", "1_0", "1/2/3", "0x10", "1/-2",
+                                   "inf", "1/0"])
+def test_only_num_or_num_slash_den_is_a_rational(token, workdir, capsys):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(token)
+    path = workdir / "bad.pcov"
+    path.write_text(f"PCOV 1\n1 1\n1\n{token}\n1\n1\n")
+    assert main(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 4: not a rational: {token!r}\n"
+    assert main(["experiment", "blackbox", "--q", "2", "--alpha", token]) == 2
+    assert capsys.readouterr().err == f"error: not a rational: {token!r}\n"
+
+
+def test_documented_rationals_parse():
+    for text, value in (("3", F(3)), ("-3", F(-3)), ("+3", F(3)), ("6/8", F(3, 4)),
+                        ("-6/8", F(-3, 4)), (" 007/2 ", F(7, 2)), ("0", F(0))):
+        assert parse_rational(text) == value
+    with pytest.raises(ValueError, match="not a rational: '1 / 2'"):
+        parse_rational("1 / 2")
+
+
+def test_huge_exponent_is_rejected_before_any_fraction(monkeypatch, workdir, capsys):
+    # Fraction("1e999999999") would build 10**999999999 before any check.
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args!r} built for a bad token")
+
+    monkeypatch.setattr(arith, "Fraction", refuse)
+    token = "1e999999999"
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(token)
+    path = workdir / "huge.pcov"
+    path.write_text(f"PCOV 1\n1 1\n{token}\n1\n1\n1\n")
+    assert main(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 3: not a rational: {token!r}\n"
+    assert main(["experiment", "blackbox", "--q", "2", "--alpha", token]) == 2
+    assert capsys.readouterr().err == f"error: not a rational: {token!r}\n"

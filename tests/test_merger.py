@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from merger_reference import (absolute_benefits, reference_cost_bound,
+                              relative_benefit)
 from pcover.errors import InternalInvariantError
-from pcover.generators import corpus_instance, gen_gap_family
-from pcover.merger import (MergeContext, MergeTrace, absolute_benefits,
-                           audit_merge_bound, build_merger_graph, merge,
-                           relative_benefit)
+from pcover.generators import Lcg, corpus_instance, gen_gap_family
+from pcover.merger import (MergeContext, MergeTrace, audit_cost_bound,
+                           audit_merge_bound, build_merger_graph, merge)
 from pcover.lp import dual_value
 from pcover.model import Cover, cover_cost, covered_profit, make_instance
 from pcover.pipeline import to_greedy_form
@@ -143,8 +144,7 @@ def test_increase_immediate_exit_via_public_wrapper():
     thr = find_threshold(inst)
     low, high = thr.merge_pair(inst.target)
     g = build_merger_graph(inst, low.pruned, high.pruned, low.positive, high.positive)
-    ctx = MergeContext(g, inst, inst.target,
-                       absolute_benefits(inst, Cover.of([0])))
+    ctx = MergeContext(g, inst, inst.target, Cover.of([0]).mask())
     assert ctx.increase(0, 0) == 0b1
 
 
@@ -153,8 +153,7 @@ def test_decrease_precondition_enforced():
     thr = find_threshold(inst)
     low, high = thr.merge_pair(inst.target)
     g = build_merger_graph(inst, low.pruned, high.pruned, low.positive, high.positive)
-    ctx = MergeContext(g, inst, inst.target,
-                       absolute_benefits(inst, Cover.of([0])))
+    ctx = MergeContext(g, inst, inst.target, Cover.of([0]).mask())
     with pytest.raises(InternalInvariantError, match="precondition"):
         ctx.decrease(0, 0)  # empty cover is not feasible
 
@@ -193,3 +192,23 @@ def test_merge_memory_peak_on_gap_family():
         tracemalloc.stop()
     assert len(graph.vertices) == 512 and len(trace.splits) == 4
     assert peak < 450_000, peak
+
+
+def test_cost_bound_on_ints_matches_the_fraction_bounds():
+    # The bounds come out as the same Fractions, each k is decided as a
+    # Fraction comparison would decide it, and the tightest k is the first
+    # with the smallest bound; costs straddle the bounds and ties occur.
+    rng = Lcg(3)
+    cases = [(F(12), F(1, 10), F(1)), (F(2), F(1, 2), F(1)), (F(0), F(0), F(0))]
+    for _ in range(300):
+        base, c_max = rng.rational() * rng.below(3), rng.rational()
+        bound = (1 + F(1, 3 ** rng.below(10))) * base + (1 + rng.below(10)) * c_max
+        cases.append((bound + (rng.below(3) - 1) * F(1, 1 + rng.below(50)), base, c_max))
+    outcomes = set()
+    for cost, base, c_max in cases:
+        audit = audit_cost_bound(cost, base, c_max)
+        per_k, tightest = reference_cost_bound(cost, base, c_max)
+        assert audit.per_k == per_k and audit.tightest_k == tightest
+        assert audit.ok == all(holds for _, _, holds in per_k)
+        outcomes.add((audit.ok, tightest))
+    assert len(outcomes) > 5, outcomes

@@ -5,14 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from merger_reference import reference_build_merger_graph, reference_merge
+from merger_reference import (absolute_benefits, reference_build_merger_graph,
+                              reference_merge, relative_benefit)
 from pcover.arith import DeltaRational
 from pcover.errors import InternalInvariantError
 from pcover.generators import Lcg, corpus_instance, gen_gap_family
 from pcover.kolen import DualSolution
-from pcover.merger import build_merger_graph, merge
-from pcover.model import (Cover, Instance, PermutationPair, make_instance,
-                          permute_instance)
+from pcover.merger import MergeContext, build_merger_graph, merge
+from pcover.model import (Cover, Instance, PermutationPair, bit_indices,
+                          make_instance, permute_instance)
 from pcover.pipeline import to_greedy_form
 from pcover.threshold import find_threshold
 
@@ -94,3 +95,54 @@ def test_two_dominators_named_as_the_pair_loop_names_them():
             build(*covers, *positives)
         messages.append(str(raised.value))
     assert messages == ["vertex 1 has two dominators: 2 and 4"] * 2
+
+
+def _merge_inputs():
+    """Gap q = 1..4, canonical and under Lcg shuffles 1..3, then corpus
+    seeds 0..599."""
+    for q in (1, 2, 3, 4):
+        base = gen_gap_family(q).instance
+        yield base
+        for seed in range(1, 4):
+            rng = Lcg(seed)
+            yield permute_instance(base, PermutationPair(
+                _lcg_shuffle(base.n, rng), _lcg_shuffle(base.m, rng)))
+    for seed in range(600):
+        yield corpus_instance(seed)
+
+
+def test_int_benefits_equal_the_fraction_table_and_the_subtree_walk(monkeypatch):
+    # Each merge's int benefits are absolute_benefits times L, and every
+    # benefit(j, D) it asks for equals the walk over the whole subtree.
+    contexts, asked = [], []
+    build, benefit = MergeContext.__init__, MergeContext.benefit
+
+    def recording_build(self, graph, instance, target, union):
+        build(self, graph, instance, target, union)
+        contexts.append((self, union))
+
+    def checked_benefit(self, j, D):
+        value = benefit(self, j, D)
+        assert value == relative_benefit(self.graph, j, D, self.benefits), (j, D)
+        asked.append(j)
+        return value
+
+    monkeypatch.setattr(MergeContext, "__init__", recording_build)
+    monkeypatch.setattr(MergeContext, "benefit", checked_benefit)
+    for instance in _merge_inputs():
+        work, _ = to_greedy_form(instance)
+        thr = find_threshold(work)
+        if thr.exact_hit is not None:
+            continue
+        low, high = thr.merge_pair(work.target)
+        graph = build_merger_graph(work, low.pruned, high.pruned,
+                                   low.positive, high.positive)
+        merge(graph, low.pruned, high.pruned, work)
+    assert len(contexts) > 100 and len(asked) > 1000
+    for ctx, union in contexts:
+        table = absolute_benefits(ctx.instance, Cover(bit_indices(union)))
+        assert ctx.benefits == [table.get(j, 0) * ctx.scale
+                                for j in range(ctx.instance.m)]
+        for v in ctx.graph.vertices:
+            assert ctx.subtree_benefits[v] == sum(
+                ctx.benefits[u] for u in bit_indices(ctx.graph.subtrees[v]))

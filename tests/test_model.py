@@ -1,5 +1,6 @@
 """Instances, covers, permutations."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from dense import rows_of
 from pcover.errors import InputError
 from pcover.generators import Lcg, corpus_instance
-from pcover.model import (Cover, Decomposition, PermutationPair, cover_cost,
-                          covered_profit, make_instance, permute_instance)
+from pcover.model import (Cover, Decomposition, PermutationPair, ScaledCoverage,
+                          cover_cost, covered_element_mask, covered_profit,
+                          make_instance, permute_instance)
 
 
 def test_make_instance_minimal():
@@ -123,3 +125,51 @@ def test_decomposition_validation_messages():
     with pytest.raises(InputError) as raised:
         Decomposition(2, (((1, 1), (1, 1)), ((0, 0), (0, 0)))).validate_against(inst)
     assert str(raised.value) == "parts sum to 1 != 0 at row 0, column 1"
+
+
+def _random_instance(rng, n, m, profit):
+    """An n x m matrix with about a third of its entries set and the last
+    row in no set; `profit(i)` gives element i's profit."""
+    rows = [[int(rng.below(3) == 0) for _ in range(m)] for _ in range(n)]
+    if rows:
+        rows[-1] = [0] * m
+    return make_instance(rows, [1] * m, [profit(i) for i in range(n)], 0)
+
+
+def test_scaled_coverage_equals_the_fraction_covered_profit():
+    # Random covers' element masks, against covered_profit times L_p, on
+    # zero profits, n = 0, two profit classes and all-distinct profits.
+    # The class sum runs when the classes are no more than the bits on the
+    # smaller side of the mask; the walk over that side runs otherwise, and
+    # always when the classes outnumber half the coverable elements.
+    rng = Lcg(11)
+    instances = [
+        make_instance([], [1, 2], [], 0),
+        _random_instance(rng, 40, 8, lambda i: F(0)),
+        _random_instance(rng, 40, 8, lambda i: F(i % 3)),
+        _random_instance(rng, 60, 10, lambda i: (F(3, 2), F(5))[rng.below(2)]),
+        _random_instance(rng, 60, 10, lambda i: F(i + 1, i + 2)),
+        corpus_instance(7),
+    ]
+    paths = Counter()
+    for inst in instances:
+        l_p, values = inst.scaled_profits()
+        coverage = ScaledCoverage(inst, values)
+        count = len(set(values) - {0})
+        if count > coverage.coverable.bit_count() // 2:
+            assert coverage.classes is None
+        else:
+            assert len(coverage.classes) == count
+        for _ in range(60):
+            cover = Cover.of(j for j in range(inst.m) if rng.below(3))
+            mask = covered_element_mask(inst, cover)
+            missed = coverage.coverable & ~mask
+            if count <= min(missed.bit_count(), mask.bit_count()):
+                paths["classes"] += 1
+            else:
+                paths["missed" if missed.bit_count() < mask.bit_count() else "mask"] += 1
+            assert coverage(mask) == covered_profit(inst, cover) * l_p
+        everything = covered_element_mask(inst, Cover.of(range(inst.m)))
+        assert coverage(everything) == inst.coverable_profit() * l_p
+        assert coverage(0) == 0
+    assert paths["classes"] and paths["missed"] and paths["mask"], paths
